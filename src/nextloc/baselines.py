@@ -13,20 +13,11 @@ Three kinds plug into the same EmbedderHandle shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from nextloc.calliper import CaLLiPerModel
 from nextloc.mobdata.model import LocationIndex, MobilitySequence
 from nextloc.util import make_rng
-
-
-@dataclass
-class EmbeddingTable:
-    matrix: np.ndarray  # (|L|, d)
-    init_scheme: str
-    trainable: bool
 
 
 class VanillaE2EEmbedder:
@@ -51,16 +42,14 @@ class SkipgramEmbedder:
     kind = "skipgram-table"
     frozen = True
 
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
-        self.dim = table.matrix.shape[1]
+    def __init__(self, table: np.ndarray):
+        self.table = table  # (|L|, d)
+        self.dim = table.shape[1]
 
     def embedding_matrix(self, index: LocationIndex) -> np.ndarray:
-        if self.table.matrix.shape[0] != len(index):
-            raise ValueError(
-                f"table has {self.table.matrix.shape[0]} rows but the index has {len(index)} locations"
-            )
-        return self.table.matrix
+        if self.table.shape[0] != len(index):
+            raise ValueError(f"table has {self.table.shape[0]} rows but the index has {len(index)} locations")
+        return self.table
 
 
 class CalliperEmbedder:
@@ -116,14 +105,14 @@ def skipgram_pretrain(
     batch_size: int = 512,
     seed: int = 0,
     plateau_tol: float = 1e-3,
-) -> tuple[EmbeddingTable, dict]:
+) -> tuple[np.ndarray, dict]:
     """Skip-gram with negative sampling over location-id streams.
 
     Negative draws follow unigram^0.75 over the corpus; draws equal to the
     positive context word are skipped rather than redrawn. Input vectors
     start uniform(-0.5/dim, 0.5/dim), output vectors at zero; the input
-    vectors are the returned embeddings. Stops early once the epoch loss
-    improves by less than plateau_tol relative.
+    vectors, an (|L|, dim) matrix, are the returned table. Stops early once
+    the epoch loss improves by less than plateau_tol relative.
     """
     streams = visit_streams(sequences)
     corpus = [[index.class_of(loc) for loc, _ in visits] for _, visits in streams.items()]
@@ -181,6 +170,5 @@ def skipgram_pretrain(
             prev, cur = epoch_losses[-2], epoch_losses[-1]
             if prev - cur < plateau_tol * abs(prev):
                 break
-    table = EmbeddingTable(matrix=w_in, init_scheme="uniform(-0.5/d, 0.5/d)", trainable=False)
     history = {"epoch_losses": epoch_losses, "n_pairs": int(len(pairs)), "output_vectors": w_out}
-    return table, history
+    return w_in, history

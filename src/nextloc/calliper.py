@@ -37,7 +37,7 @@ from nextloc.numcore import (
     scale,
     transpose,
 )
-from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
+from nextloc.numcore.checkpoint import check_split, load_checkpoint, save_checkpoint
 from nextloc.util import make_rng
 
 
@@ -314,10 +314,11 @@ class CaLLiPerModel:
         save_checkpoint(path, self.store.state_dict(), meta=meta)
 
     @classmethod
-    def load(cls, path, text_embedder=None) -> "CaLLiPerModel":
+    def load(cls, path, text_embedder=None, manifest_digest: str | None = None) -> "CaLLiPerModel":
         params, meta = load_checkpoint(path)
         if meta.get("kind") != "calliper":
             raise ValueError(f"{path}: checkpoint is not a location-text model (kind={meta.get('kind')!r})")
+        check_split(path, meta, manifest_digest)
         if text_embedder is None:
             if meta["text_mode"] != HashedNgramEmbedder.mode:
                 raise ValueError(

@@ -13,13 +13,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from nextloc.baselines import (
     CalliperEmbedder,
-    EmbeddingTable,
     SkipgramEmbedder,
     VanillaE2EEmbedder,
     skipgram_pretrain,
@@ -58,59 +58,48 @@ from nextloc.mobdata import (
     write_sequences,
     write_split_manifest,
 )
-from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
+from nextloc.numcore.checkpoint import CheckpointError, check_split, load_checkpoint, save_checkpoint
 from nextloc.predictor import NextLocPredictor
 from nextloc.util import make_rng, stable_json
 
 TEXT_HASH_DIM = 512  # trigram text features for the location-text encoder
 
 # ----------------------------------------------------------------------
-# artifact paths
+# run plan and artifact names
 
 
-def _out(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.out_dir)
+def split_seed_of(cfg: ExperimentConfig, run_seed: int) -> int | None:
+    """The split a run seed trains on.
+
+    An inductive run resamples the held-out locations once per seed, so run
+    seed n has its own split n; a conventional run has one split (None) that
+    every run seed shares. This is the only place the split mode picks splits.
+    """
+    return run_seed if cfg.split_mode == "inductive" else None
 
 
-def sequences_path(cfg) -> Path:
-    return _out(cfg) / "sequences.json"
+def split_seeds(cfg: ExperimentConfig) -> list[int | None]:
+    """The distinct splits of the plan, in seed order."""
+    return list(dict.fromkeys(split_seed_of(cfg, seed) for seed in cfg.seeds))
 
 
-def index_path(cfg) -> Path:
-    return _out(cfg) / "locations.json"
+def seeded(stem: str, seed: int | None) -> str:
+    """The naming rule: a seed-independent name has no suffix, any other ends in `_seed<n>`."""
+    return stem if seed is None else f"{stem}_seed{seed}"
 
 
-def manifest_path(cfg, seed: int | None = None) -> Path:
-    if cfg.split_mode == "conventional":
-        return _out(cfg) / "manifest_conventional.json"
-    return _out(cfg) / f"manifest_inductive_seed{seed}.json"
+def artifact(cfg: ExperimentConfig, stem: str, seed: int | None = None, suffix: str = ".json") -> Path:
+    return Path(cfg.out_dir) / (seeded(stem, seed) + suffix)
 
 
-def calliper_path(cfg, seed: int | None = None) -> Path:
-    if cfg.split_mode == "conventional":
-        return _out(cfg) / "calliper.nlck"
-    return _out(cfg) / f"calliper_seed{seed}.nlck"
+def _existing(path: Path, stage: str) -> Path:
+    if not path.is_file():
+        raise FileNotFoundError(f"{path}: missing; run `nextloc {stage}` first")
+    return path
 
 
-def skipgram_path(cfg, seed: int | None = None) -> Path:
-    if cfg.split_mode == "conventional":
-        return _out(cfg) / "skipgram.nlck"
-    return _out(cfg) / f"skipgram_seed{seed}.nlck"
-
-
-def predictor_path(cfg, kind: str, seed: int) -> Path:
-    return _out(cfg) / f"predictor_{kind}_seed{seed}.nlck"
-
-
-def report_path(cfg, kind: str, subset: str = "full") -> Path:
-    stem = f"report_{kind}_{cfg.split_mode}"
-    if subset != "full":
-        stem += f"_{subset}"
-    return _out(cfg) / f"{stem}.txt"
-
-
-def metrics_json_path(cfg) -> Path:
-    return _out(cfg) / f"metrics_{cfg.split_mode}.json"
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(stable_json(payload) + "\n", encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -118,26 +107,39 @@ def metrics_json_path(cfg) -> Path:
 
 
 def _load_store(cfg) -> tuple[list, str, LocationIndex]:
-    seq_file = sequences_path(cfg)
-    idx_file = index_path(cfg)
-    for p in (seq_file, idx_file):
-        if not p.is_file():
-            raise FileNotFoundError(f"{p}: missing; run `nextloc preprocess` first")
+    seq_file = _existing(artifact(cfg, "sequences"), "preprocess")
+    idx_file = _existing(artifact(cfg, "locations"), "preprocess")
     sequences, seq_hash = read_sequences(seq_file)
     index = LocationIndex.from_dict(json.loads(idx_file.read_text(encoding="utf-8")))
     return sequences, seq_hash, index
 
 
-def _load_split(cfg, sequences, seq_hash, seed: int | None) -> tuple[DatasetSplit, dict]:
-    path = manifest_path(cfg, seed)
-    if not path.is_file():
-        raise FileNotFoundError(f"{path}: missing; run `nextloc preprocess` first")
-    manifest = read_split_manifest(path)
-    return apply_split_manifest(sequences, manifest, seq_hash), manifest
+def _load_splits(cfg, sequences, seq_hash) -> dict[int | None, tuple[DatasetSplit, dict]]:
+    """Every split of the plan with its manifest, each rebuilt once from the store."""
+    splits = {}
+    for split_seed in split_seeds(cfg):
+        path = _existing(artifact(cfg, f"manifest_{cfg.split_mode}", split_seed), "preprocess")
+        manifest = read_split_manifest(path)
+        splits[split_seed] = (apply_split_manifest(sequences, manifest, seq_hash), manifest)
+    return splits
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(stable_json(payload) + "\n", encoding="utf-8")
+def _load_calliper(cfg, split_seed: int | None, manifest: dict) -> CaLLiPerModel:
+    path = _existing(artifact(cfg, "calliper", split_seed, ".nlck"), "pretrain")
+    # the conventional encoder saw every POI, so it belongs to no split
+    digest = None if split_seed is None else manifest["manifest_digest"]
+    return CaLLiPerModel.load(path, manifest_digest=digest)
+
+
+def _load_skipgram(cfg, index: LocationIndex, split_seed: int | None, manifest: dict) -> np.ndarray:
+    path = _existing(artifact(cfg, "skipgram", split_seed, ".nlck"), "pretrain")
+    params, meta = load_checkpoint(path)
+    if meta.get("kind") != "skipgram-table":
+        raise ValueError(f"{path}: not a skip-gram table checkpoint")
+    if meta["index_hash"] != index.content_hash():
+        raise ValueError(f"{path}: table was trained against a different location index")
+    check_split(path, meta, manifest["manifest_digest"])
+    return params["table"]
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +148,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_preprocess(cfg: ExperimentConfig) -> int:
     cfg.validate_paths()
-    out = _out(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     records, index = load_checkins(cfg.checkins_path)
     records = filter_min_counts(records, cfg.min_visits_per_location, cfg.min_visits_per_user)
     surviving = sorted({r.location for r in records})
@@ -158,29 +159,25 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
     )
     if not sequences:
         raise ValueError("no usable sequences after filtering; lower the thresholds")
-    seq_hash = write_sequences(sequences_path(cfg), sequences)
-    index_path(cfg).write_text(stable_json(index.to_dict()) + "\n", encoding="utf-8")
+    seq_hash = write_sequences(artifact(cfg, "sequences"), sequences)
+    artifact(cfg, "locations").write_text(stable_json(index.to_dict()) + "\n", encoding="utf-8")
     extra = {"dataset": cfg.name, "index_hash": index.content_hash()}
     conventional = split_conventional(sequences, cfg.split_ratios, records=records)
     print(f"locations: {len(index)}  visits: {len(records)}  sequences: {len(sequences)}")
     print(f"sequences_hash: {seq_hash}")
     print(f"index_hash: {index.content_hash()}")
-    if cfg.split_mode == "conventional":
-        manifest = write_split_manifest(manifest_path(cfg), conventional, seq_hash, extra)
+    for split_seed in split_seeds(cfg):
+        if split_seed is None:
+            split = conventional
+        else:
+            split = split_inductive(conventional, cfg.holdout_fraction, split_seed)
+        path = artifact(cfg, f"manifest_{cfg.split_mode}", split_seed)
+        manifest = write_split_manifest(path, split, seq_hash, extra)
         print(
-            f"conventional split: train={len(conventional.train)} "
-            f"val={len(conventional.validation)} test={len(conventional.test)} "
+            f"{seeded(cfg.split_mode, split_seed)} split: |L_new|={len(split.l_new)} "
+            f"train={len(split.train)} val={len(split.validation)} test={len(split.test)} "
             f"digest={manifest['manifest_digest']}"
         )
-    else:
-        for seed in cfg.seeds:
-            ind = split_inductive(conventional, cfg.holdout_fraction, seed)
-            manifest = write_split_manifest(manifest_path(cfg, seed), ind, seq_hash, extra)
-            print(
-                f"inductive split seed {seed}: |L_new|={len(ind.l_new)} "
-                f"train={len(ind.train)} val={len(ind.validation)} test={len(ind.test)} "
-                f"digest={manifest['manifest_digest']}"
-            )
     return 0
 
 
@@ -191,18 +188,17 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
 def _pretrain_calliper(cfg: ExperimentConfig) -> None:
     pois = read_poi_file(cfg.pois_path)
     text_embedder = HashedNgramEmbedder(TEXT_HASH_DIM)
+    # held-out locations must stay unseen during contrastive pretraining, so
+    # each inductive split gets its own encoder without their POIs; the
+    # conventional encoder sees every POI and reads no sequence store
     if cfg.split_mode == "conventional":
-        jobs = [(None, pois)]
+        manifests = {None: None}
     else:
-        # held-out locations must stay unseen during contrastive pretraining,
-        # so each resampled split gets its own encoder without their POIs
         sequences, seq_hash, _ = _load_store(cfg)
-        jobs = []
-        for seed in cfg.seeds:
-            _, manifest = _load_split(cfg, sequences, seq_hash, seed)
-            l_new = set(manifest["l_new"])
-            jobs.append((seed, [p for p in pois if p.id not in l_new]))
-    for seed, corpus in jobs:
+        manifests = {seed: manifest for seed, (_, manifest) in _load_splits(cfg, sequences, seq_hash).items()}
+    for split_seed, manifest in manifests.items():
+        l_new = set(manifest["l_new"]) if manifest else set()
+        corpus = [p for p in pois if p.id not in l_new]
         model = CaLLiPerModel(
             cfg.grid,
             text_embedder,
@@ -211,22 +207,23 @@ def _pretrain_calliper(cfg: ExperimentConfig) -> None:
             seed=cfg.pretrain.seed,
         )
         history = model.pretrain(corpus, cfg.pretrain)
-        path = calliper_path(cfg, seed)
-        model.save(path, extra_meta={"n_pois": len(corpus), "split_seed": seed})
+        path = artifact(cfg, "calliper", split_seed, ".nlck")
+        meta = {"n_pois": len(corpus), "split_seed": split_seed}
+        if manifest:
+            meta["manifest_digest"] = manifest["manifest_digest"]
+        model.save(path, extra_meta=meta)
         _write_json(
             path.with_suffix(".log.json"),
             {"epoch_losses": history["epoch_losses"], "n_pois": len(corpus)},
         )
         losses = history["epoch_losses"]
-        tag = "" if seed is None else f" (split seed {seed}, {len(pois) - len(corpus)} POIs held out)"
-        print(f"calliper{tag}: loss {losses[0]:.4f} -> {losses[-1]:.4f}, saved {path}")
+        tag = f"{seeded('calliper', split_seed)}: {len(l_new)} POIs held out"
+        print(f"{tag}, loss {losses[0]:.4f} -> {losses[-1]:.4f}, saved {path}")
 
 
 def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
     sequences, seq_hash, index = _load_store(cfg)
-    seeds = [None] if cfg.split_mode == "conventional" else list(cfg.seeds)
-    for seed in seeds:
-        split, manifest = _load_split(cfg, sequences, seq_hash, seed)
+    for split_seed, (split, manifest) in _load_splits(cfg, sequences, seq_hash).items():
         table, history = skipgram_pretrain(
             split.train,
             index,
@@ -237,15 +234,14 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
             learning_rate=cfg.skipgram_learning_rate,
             seed=cfg.pretrain.seed,
         )
-        path = skipgram_path(cfg, seed)
+        path = artifact(cfg, "skipgram", split_seed, ".nlck")
         save_checkpoint(
             path,
-            {"table": table.matrix},
+            {"table": table},
             meta={
                 "kind": "skipgram-table",
                 "dim": cfg.pretrain.embed_dim,
                 "index_hash": index.content_hash(),
-                "init_scheme": table.init_scheme,
                 "manifest_digest": manifest["manifest_digest"],
             },
         )
@@ -253,12 +249,11 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
             path.with_suffix(".log.json"),
             {"epoch_losses": history["epoch_losses"], "n_pairs": history["n_pairs"]},
         )
-        tag = "" if seed is None else f" (split seed {seed})"
-        print(f"skipgram{tag}: {history['n_pairs']} pairs, saved {path}")
+        print(f"{seeded('skipgram', split_seed)}: {history['n_pairs']} pairs, saved {path}")
 
 
 def cmd_pretrain(cfg: ExperimentConfig, kind: str | None = None) -> int:
-    _out(cfg).mkdir(parents=True, exist_ok=True)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     kinds = [kind] if kind else [k for k in cfg.embedder_kinds if k != "lookup-table"]
     for k in kinds:
         if k == "calliper-encoder":
@@ -276,27 +271,13 @@ def cmd_pretrain(cfg: ExperimentConfig, kind: str | None = None) -> int:
 # train
 
 
-def _build_embedder(cfg: ExperimentConfig, kind: str, index: LocationIndex, split_seed: int | None, run_seed: int):
+def _build_embedder(cfg, kind: str, index: LocationIndex, split_seed: int | None, manifest: dict, run_seed: int):
     if kind == "lookup-table":
         return VanillaE2EEmbedder(dim=cfg.pretrain.embed_dim, seed=run_seed)
     if kind == "calliper-encoder":
-        path = calliper_path(cfg, split_seed)
-        if not path.is_file():
-            raise FileNotFoundError(f"{path}: missing; run `nextloc pretrain` first")
-        return CalliperEmbedder(CaLLiPerModel.load(path))
+        return CalliperEmbedder(_load_calliper(cfg, split_seed, manifest))
     if kind == "skipgram-table":
-        path = skipgram_path(cfg, split_seed)
-        if not path.is_file():
-            raise FileNotFoundError(f"{path}: missing; run `nextloc pretrain` first")
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != "skipgram-table":
-            raise ValueError(f"{path}: not a skip-gram table checkpoint")
-        if meta["index_hash"] != index.content_hash():
-            raise ValueError(f"{path}: table was trained against a different location index")
-        table = EmbeddingTable(
-            matrix=params["table"], init_scheme=meta["init_scheme"], trainable=False
-        )
-        return SkipgramEmbedder(table)
+        return SkipgramEmbedder(_load_skipgram(cfg, index, split_seed, manifest))
     raise ValueError(f"unknown embedder kind {kind!r}")
 
 
@@ -305,25 +286,19 @@ def _cap_train(split: DatasetSplit, cap: int, seed: int) -> DatasetSplit:
         return split
     rng = make_rng(seed, "train-subsample")
     keep = np.sort(rng.choice(len(split.train), size=cap, replace=False))
-    return DatasetSplit(
-        train=[split.train[i] for i in keep],
-        validation=split.validation,
-        test=split.test,
-        mode=split.mode,
-        l_new=split.l_new,
-        seed=split.seed,
-    )
+    return replace(split, train=[split.train[i] for i in keep])
 
 
 def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
     sequences, seq_hash, index = _load_store(cfg)
+    splits = _load_splits(cfg, sequences, seq_hash)
     kinds = [kind] if kind else list(cfg.embedder_kinds)
     for k in kinds:
         for seed in cfg.seeds:
-            split_seed = None if cfg.split_mode == "conventional" else seed
-            split, manifest = _load_split(cfg, sequences, seq_hash, split_seed)
+            split_seed = split_seed_of(cfg, seed)
+            split, manifest = splits[split_seed]
             split = _cap_train(split, cfg.max_train_sequences, seed)
-            embedder = _build_embedder(cfg, k, index, split_seed, seed)
+            embedder = _build_embedder(cfg, k, index, split_seed, manifest, seed)
             users = sorted({s.user for s in split.train})
             model = NextLocPredictor(index, users, embedder, cfg.predictor, seed=seed)
             history = model.train(
@@ -334,7 +309,7 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
                 learning_rate=cfg.train_learning_rate,
                 seed=seed,
             )
-            path = predictor_path(cfg, k, seed)
+            path = artifact(cfg, f"predictor_{k}", seed, ".nlck")
             model.save(
                 path,
                 extra_meta={
@@ -356,12 +331,12 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
 # evaluate
 
 
-def _test_ranks(cfg, index, split: DatasetSplit, kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _test_ranks(
+    cfg, index, split: DatasetSplit, manifest: dict, kind: str, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Full-test ranks plus the mask of samples whose target is held out."""
-    path = predictor_path(cfg, kind, seed)
-    if not path.is_file():
-        raise FileNotFoundError(f"{path}: missing; run `nextloc train` first")
-    model = NextLocPredictor.load(path, index)
+    path = _existing(artifact(cfg, f"predictor_{kind}", seed, ".nlck"), "train")
+    model = NextLocPredictor.load(path, index, manifest_digest=manifest["manifest_digest"])
     probs = model.predict_proba(split.test, batch_size=cfg.train_batch_size)
     targets = np.array([index.class_of(s.target_location) for s in split.test])
     ranks = ranks_from_scores(probs, targets)
@@ -371,84 +346,52 @@ def _test_ranks(cfg, index, split: DatasetSplit, kind: str, seed: int) -> tuple[
 
 def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
     sequences, seq_hash, index = _load_store(cfg)
+    splits = _load_splits(cfg, sequences, seq_hash)
     kinds = [kind] if kind else list(cfg.embedder_kinds)
     provenance = {"sequences_hash": seq_hash, "index_hash": index.content_hash()}
-    splits: dict[int | None, DatasetSplit] = {}
-    for seed in cfg.seeds:
-        split_seed = None if cfg.split_mode == "conventional" else seed
-        if split_seed not in splits:
-            split, manifest = _load_split(cfg, sequences, seq_hash, split_seed)
-            splits[split_seed] = split
-            key = "manifest_digest" if split_seed is None else f"manifest_digest_seed{split_seed}"
-            provenance[key] = manifest["manifest_digest"]
+    for split_seed, (_, manifest) in splits.items():
+        provenance[seeded("manifest_digest", split_seed)] = manifest["manifest_digest"]
+    ranks = {
+        (k, seed): _test_ranks(cfg, index, *splits[split_seed_of(cfg, seed)], k, seed)
+        for k in kinds
+        for seed in cfg.seeds
+    }
 
-    cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for k in kinds:
-        for seed in cfg.seeds:
-            split_seed = None if cfg.split_mode == "conventional" else seed
-            cache[(k, seed)] = _test_ranks(cfg, index, splits[split_seed], k, seed)
+    def lnew_ranks(k: str, seed: int) -> np.ndarray:
+        full, mask = ranks[(k, seed)]
+        if not mask.any():
+            raise ValueError(f"split seed {seed} has no test samples targeting held-out locations")
+        return full[mask]
 
-    reports_full = {}
-    reports_lnew = {}
+    # the inductive protocol also reports the test samples whose target was held out
+    subsets = {"full": (lambda k, seed: ranks[(k, seed)][0], "", {})}
+    if cfg.split_mode == "inductive":
+        subsets["lnew"] = (lnew_ranks, "_lnew", {"subset": "targets in held-out locations"})
+    reports: dict[str, dict] = {subset: {} for subset in subsets}
     metrics_payload: dict = {"split_mode": cfg.split_mode, "seeds": list(cfg.seeds), "kinds": {}}
     for k in kinds:
-        report = run_experiment(
-            lambda seed, kk=k: cache[(kk, seed)][0],
-            cfg.seeds,
-            split_mode=cfg.split_mode,
-            embedder_kind=k,
-        )
-        reports_full[k] = report
-        report_path(cfg, k).write_text(
-            format_report(report, dataset=cfg.name, provenance=provenance), encoding="utf-8"
-        )
-        if cfg.split_mode == "inductive":
-            def lnew_ranks(seed, kk=k):
-                ranks, mask = cache[(kk, seed)]
-                if not mask.any():
-                    raise ValueError(f"split seed {seed} has no test samples targeting held-out locations")
-                return ranks[mask]
-
-            lnew_report = run_experiment(lnew_ranks, cfg.seeds, split_mode="inductive", embedder_kind=k)
-            reports_lnew[k] = lnew_report
-            report_path(cfg, k, subset="lnew").write_text(
-                format_report(
-                    lnew_report,
-                    dataset=cfg.name,
-                    provenance={**provenance, "subset": "targets in held-out locations"},
-                ),
-                encoding="utf-8",
+        for subset, (rank_fn, suffix, note) in subsets.items():
+            report = run_experiment(partial(rank_fn, k), cfg.seeds, split_mode=cfg.split_mode, embedder_kind=k)
+            reports[subset][k] = report
+            artifact(cfg, f"report_{k}_{cfg.split_mode}{suffix}", suffix=".txt").write_text(
+                format_report(report, dataset=cfg.name, provenance={**provenance, **note}), encoding="utf-8"
             )
-
-    for k, report in reports_full.items():
-        metrics_payload["kinds"][k] = {
-            "full": {name: [float(v) for v in report.per_run(name)] for name in METRIC_NAMES}
-        }
-        if k in reports_lnew:
-            metrics_payload["kinds"][k]["lnew"] = {
-                name: [float(v) for v in reports_lnew[k].per_run(name)] for name in METRIC_NAMES
+            metrics_payload["kinds"].setdefault(k, {})[subset] = {
+                name: [float(v) for v in report.per_run(name)] for name in METRIC_NAMES
             }
-    _write_json(metrics_json_path(cfg), metrics_payload)
-
-    if len(reports_full) > 1:
-        (_out(cfg) / f"comparison_{cfg.split_mode}.txt").write_text(
-            format_comparison(reports_full), encoding="utf-8"
-        )
-        if reports_lnew:
-            (_out(cfg) / "comparison_inductive_lnew.txt").write_text(
-                format_comparison(reports_lnew), encoding="utf-8"
+    _write_json(artifact(cfg, f"metrics_{cfg.split_mode}"), metrics_payload)
+    if len(kinds) > 1:
+        for subset, (_, suffix, _) in subsets.items():
+            artifact(cfg, f"comparison_{cfg.split_mode}{suffix}", suffix=".txt").write_text(
+                format_comparison(reports[subset]), encoding="utf-8"
             )
 
     for k in kinds:
-        line = f"{k}: " + "  ".join(
-            f"{name}={reports_full[k].mean(name):.4f}" for name in METRIC_NAMES
-        )
-        if k in reports_lnew:
-            line += "  | held-out targets: " + "  ".join(
-                f"{name}={reports_lnew[k].mean(name):.4f}" for name in METRIC_NAMES
-            )
-        print(line)
-    print(f"metrics written to {metrics_json_path(cfg)}")
+        print(f"{k}: " + "  | ".join(
+            f"{subset}: " + "  ".join(f"{name}={reports[subset][k].mean(name):.4f}" for name in METRIC_NAMES)
+            for subset in subsets
+        ))
+    print(f"metrics written to {artifact(cfg, f'metrics_{cfg.split_mode}')}")
     return 0
 
 
@@ -456,36 +399,24 @@ def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
 # visualize
 
 
-def cmd_visualize(cfg: ExperimentConfig, kind: str, seed: int | None = None) -> int:
+def cmd_visualize(cfg: ExperimentConfig, kind: str) -> int:
     if kind not in ("calliper-encoder", "skipgram-table"):
         raise ValueError("visualize supports the pretrained kinds: calliper-encoder, skipgram-table")
-    _, seq_hash, index = _load_store(cfg)
-    split_seed = None if cfg.split_mode == "conventional" else (cfg.seeds[0] if seed is None else seed)
-    if cfg.split_mode == "inductive":
-        manifest = read_split_manifest(manifest_path(cfg, split_seed))
+    cfg = replace(cfg, seeds=cfg.seeds[:1])  # one projection, of the first seed's split
+    sequences, seq_hash, index = _load_store(cfg)
+    for split_seed, (_, manifest) in _load_splits(cfg, sequences, seq_hash).items():
+        if kind == "calliper-encoder":
+            coords = np.array([[loc.centroid.x, loc.centroid.y] for loc in index])
+            matrix = _load_calliper(cfg, split_seed, manifest).encode_location(coords)
+        else:
+            matrix = _load_skipgram(cfg, index, split_seed, manifest)
         l_new = set(manifest["l_new"])
-    else:
-        l_new = set()
-    if kind == "calliper-encoder":
-        model = CaLLiPerModel.load(calliper_path(cfg, split_seed))
-        coords = np.array([[index.location(i).centroid.x, index.location(i).centroid.y] for i in index.ids()])
-        matrix = model.encode_location(coords)
-    else:
-        params, meta = load_checkpoint(skipgram_path(cfg, split_seed))
-        if meta["index_hash"] != index.content_hash():
-            raise ValueError("table was trained against a different location index")
-        matrix = params["table"]
-    labels = ["new" if i in l_new else "seen" for i in index.ids()]
-    proj = project_2d(matrix, labels)
-    stem = f"projection_{kind}_{cfg.split_mode}"
-    if split_seed is not None:
-        stem += f"_seed{split_seed}"
-    svg_file = _out(cfg) / f"{stem}.svg"
-    coords_file = _out(cfg) / f"{stem}.txt"
-    svg_file.write_text(projection_svg(proj), encoding="utf-8")
-    coords_file.write_text(projection_coords_text(proj), encoding="utf-8")
-    share = proj.explained_variance.sum() / proj.total_variance if proj.total_variance > 0 else 1.0
-    print(f"projection of {len(matrix)} embeddings ({100 * share:.1f}% variance) -> {svg_file}")
+        proj = project_2d(matrix, ["new" if i in l_new else "seen" for i in index.ids()])
+        svg_file = artifact(cfg, f"projection_{kind}_{cfg.split_mode}", split_seed, ".svg")
+        svg_file.write_text(projection_svg(proj), encoding="utf-8")
+        svg_file.with_suffix(".txt").write_text(projection_coords_text(proj), encoding="utf-8")
+        share = proj.explained_variance.sum() / proj.total_variance if proj.total_variance > 0 else 1.0
+        print(f"projection of {len(matrix)} embeddings ({100 * share:.1f}% variance) -> {svg_file}")
     return 0
 
 
@@ -568,7 +499,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg = replace(cfg, out_dir=args.out)
-        if args.seed_override is not None and args.command != "visualize":
+        if args.seed_override is not None:
             cfg = replace(cfg, seeds=(args.seed_override,))
         if args.command == "preprocess":
             return cmd_preprocess(cfg)
@@ -579,9 +510,9 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, kind=args.kind)
         if args.command == "visualize":
-            return cmd_visualize(cfg, kind=args.kind, seed=args.seed_override)
+            return cmd_visualize(cfg, kind=args.kind)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError, KeyError, OSError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, OSError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

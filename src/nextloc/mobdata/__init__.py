@@ -9,7 +9,6 @@ from nextloc.mobdata.model import (
     sequence_id,
 )
 from nextloc.mobdata.ingest import filter_min_counts, load_checkins
-from nextloc.mobdata.staypoints import Staypoint, cluster_staypoints, convex_hull, detect_staypoints
 from nextloc.mobdata.sequences import (
     apply_split_manifest,
     build_sequences,
@@ -28,15 +27,11 @@ __all__ = [
     "Location",
     "LocationIndex",
     "MobilitySequence",
-    "Staypoint",
     "SynthCity",
     "VisitRecord",
     "apply_split_manifest",
     "build_sequences",
-    "cluster_staypoints",
-    "convex_hull",
     "default_transition_matrix",
-    "detect_staypoints",
     "filter_min_counts",
     "generate_synthetic_city",
     "load_checkins",

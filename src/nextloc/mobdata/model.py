@@ -18,9 +18,9 @@ class VisitRecord:
 @dataclass(frozen=True)
 class Location:
     id: str
-    semantics: str  # free-text description; may be empty for clustered locations
+    semantics: str  # free-text description; may be empty
     centroid: GeoPoint
-    hull: tuple[GeoPoint, ...] = ()
+    hull: tuple[GeoPoint, ...] = ()  # empty for check-in data, but part of content_hash()
 
 
 class LocationIndex:

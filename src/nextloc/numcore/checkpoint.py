@@ -78,3 +78,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
     return params, header.get("meta", {})
+
+
+def check_split(path, meta: dict, manifest_digest: str | None) -> None:
+    """Refuse a checkpoint trained on another split than the manifest digest names (None: no check)."""
+    if manifest_digest is not None and meta.get("manifest_digest") != manifest_digest:
+        raise ValueError(f"{path}: trained on a different split (manifest digest mismatch); rerun its stage")

@@ -51,9 +51,6 @@ class ParameterStore:
     def tensors(self) -> list[Tensor]:
         return [self._params[name] for name in self.names()]
 
-    def gradients(self) -> dict[str, np.ndarray | None]:
-        return {name: t.grad for name, t in self.items()}
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.items()}
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nextloc.baselines import SkipgramEmbedder, VanillaE2EEmbedder
 from nextloc.mobdata.model import DatasetSplit, LocationIndex, MobilitySequence
 from nextloc.numcore import (
     AdamState,
@@ -39,7 +40,7 @@ from nextloc.numcore import (
     reshape,
     softmax,
 )
-from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
+from nextloc.numcore.checkpoint import check_split, load_checkpoint, save_checkpoint
 from nextloc.util import make_rng
 
 UNKNOWN_USER = "<unknown>"
@@ -221,23 +222,12 @@ class NextLocPredictor:
         h_n = gather_rows(reshape(x, (b * t_max, cfg.d_model)), final_pos)
         return add(matmul(h_n, self.store["head.w"]), self.store["head.b"])
 
-    def forward(self, seq: MobilitySequence) -> np.ndarray:
-        """Probability distribution over all location classes."""
-        return softmax(self.forward_logits([seq])).data[0]
-
     def predict_proba(self, sequences: list[MobilitySequence], batch_size: int = 256) -> np.ndarray:
         out = np.zeros((len(sequences), len(self.index)))
         for start in range(0, len(sequences), batch_size):
             chunk = sequences[start : start + batch_size]
             out[start : start + len(chunk)] = softmax(self.forward_logits(chunk)).data
         return out
-
-    def predict_ranked(self, seq: MobilitySequence) -> list[tuple[str, float]]:
-        """Locations by descending probability; ties go to the lower class index."""
-        probs = self.forward(seq)
-        order = np.lexsort((np.arange(len(probs)), -probs))
-        ids = self.index.ids()
-        return [(ids[i], float(probs[i])) for i in order]
 
     # ------------------------------------------------------------------
     # training
@@ -295,8 +285,8 @@ class NextLocPredictor:
                 if wait >= patience:
                     break
         self.store.load_state_dict(best_state)
-        if self.embedder_frozen:
-            assert self.loc_matrix.tobytes() == frozen_before
+        if self.embedder_frozen and self.loc_matrix.tobytes() != frozen_before:
+            raise RuntimeError(f"frozen {self.embedder_kind} embeddings changed during training")
         return {"log": log, "best_val_loss": float(best_val), "epochs_run": len(log)}
 
     # ------------------------------------------------------------------
@@ -319,28 +309,20 @@ class NextLocPredictor:
         save_checkpoint(path, params, meta=meta)
 
     @classmethod
-    def load(cls, path, index: LocationIndex) -> "NextLocPredictor":
+    def load(cls, path, index: LocationIndex, manifest_digest: str | None = None) -> "NextLocPredictor":
         params, meta = load_checkpoint(path)
         if meta.get("kind") != "predictor":
             raise ValueError(f"{path}: not a predictor checkpoint")
         if meta["index_hash"] != index.content_hash():
             raise ValueError(f"{path}: checkpoint was trained against a different location index")
+        check_split(path, meta, manifest_digest)
         cfg = PredictorConfig.from_dict(meta["config"])
-        frozen = meta["embedder_frozen"]
-        matrix = params.pop("frozen.loc_matrix", None)
-
-        class _Stub:
-            kind = meta["embedder_kind"]
-
-            def __init__(self):
-                self.frozen = frozen
-                self.dim = None
-
-            def embedding_matrix(self, idx):
-                if matrix is not None:
-                    return matrix
-                return params["loc_table"]
-
-        model = cls(index, meta["users"], _Stub(), cfg, seed=0)
+        # rebuild around the saved table: a frozen one as saved, a trainable one from an init the state replaces
+        if meta["embedder_frozen"]:
+            embedder = SkipgramEmbedder(params.pop("frozen.loc_matrix"))
+        else:
+            embedder = VanillaE2EEmbedder(dim=params["loc_table"].shape[1])
+        model = cls(index, meta["users"], embedder, cfg)
+        model.embedder_kind = meta["embedder_kind"]
         model.store.load_state_dict(params)
         return model

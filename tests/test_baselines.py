@@ -5,7 +5,6 @@ import pytest
 
 from nextloc.baselines import (
     CalliperEmbedder,
-    EmbeddingTable,
     SkipgramEmbedder,
     VanillaE2EEmbedder,
     extract_pairs,
@@ -101,7 +100,7 @@ def test_skipgram_alternating_corpus_converges_to_confident_pair_score():
     table, history = skipgram_pretrain(
         seqs, index, dim=16, window=1, epochs=40, seed=1, plateau_tol=0.0
     )
-    u_a = table.matrix[index.class_of("L0")]
+    u_a = table[index.class_of("L0")]
     v_b = history["output_vectors"][index.class_of("L1")]
     score = 1.0 / (1.0 + np.exp(-float(u_a @ v_b)))
     assert score > 0.9
@@ -115,15 +114,14 @@ def test_skipgram_absent_location_row_at_init():
 
     rng = make_rng(2, "skipgram")
     init = rng.uniform(-0.5 / 16, 0.5 / 16, size=(5, 16))
-    np.testing.assert_array_equal(table.matrix[index.class_of("L3")], init[index.class_of("L3")])
-    np.testing.assert_array_equal(table.matrix[index.class_of("L4")], init[index.class_of("L4")])
-    assert not np.array_equal(table.matrix[index.class_of("L0")], init[index.class_of("L0")])
+    np.testing.assert_array_equal(table[index.class_of("L3")], init[index.class_of("L3")])
+    np.testing.assert_array_equal(table[index.class_of("L4")], init[index.class_of("L4")])
+    assert not np.array_equal(table[index.class_of("L0")], init[index.class_of("L0")])
 
 
 def test_skipgram_embedder_row_count_checked():
-    table = EmbeddingTable(np.zeros((3, 8)), "uniform", False)
     with pytest.raises(ValueError):
-        SkipgramEmbedder(table).embedding_matrix(make_index(5))
+        SkipgramEmbedder(np.zeros((3, 8))).embedding_matrix(make_index(5))
 
 
 def test_calliper_embedder_resolves_all_locations():

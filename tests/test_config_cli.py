@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import nextloc.cli
 from nextloc.calliper import PretrainConfig
 from nextloc.cli import main
 from nextloc.config import (
@@ -236,6 +237,58 @@ def test_checkpoint_index_mismatch_is_refused(pipeline, tmp_path, capsys):
     assert "different location index" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def stale(pipeline, tmp_path_factory):
+    """A copy of the pipeline's artifacts whose splits were redrawn by a later preprocess run."""
+    work = tmp_path_factory.mktemp("stale") / "artifacts"
+    shutil.copytree(pipeline.out, work)
+    d = json.loads(pipeline.cfg_path.read_text())
+    d["holdout_fraction"] = 0.3
+    d["out_dir"] = str(work)
+    cfg_path = work.parent / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    return SimpleNamespace(out=work, cfg_path=cfg_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate"],
+        ["train", "--kind", "skipgram-table"],
+        ["train", "--kind", "calliper-encoder"],
+        ["visualize", "--kind", "skipgram-table"],
+        ["visualize", "--kind", "calliper-encoder"],
+    ],
+    ids=[
+        "predictor-in-evaluate",
+        "skipgram-in-train",
+        "calliper-in-train",
+        "skipgram-in-visualize",
+        "calliper-in-visualize",
+    ],
+)
+def test_checkpoint_from_an_older_split_is_refused(stale, capsys, argv):
+    before = {p.name: p.read_bytes() for p in stale.out.glob("*.nlck")}
+    capsys.readouterr()
+    assert main([*argv, "--config", str(stale.cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trained on a different split" in err
+    assert {p.name: p.read_bytes() for p in stale.out.glob("*.nlck")} == before
+
+
+def test_corrupt_checkpoint_gives_an_error_line(pipeline, tmp_path, capsys):
+    work = tmp_path / "corrupt"
+    shutil.copytree(pipeline.out, work)
+    path = work / "predictor_lookup-table_seed0.nlck"
+    path.write_bytes(b"JUNK" + path.read_bytes()[4:])
+    rc = main(["evaluate", "--config", str(pipeline.cfg_path), "--out", str(work)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad magic" in err
+    assert "Traceback" not in err
+
+
 def test_missing_artifacts_give_clear_errors(pipeline, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -304,6 +357,49 @@ def test_conventional_calliper_pretrain_needs_no_sequences(tmp_path):
     # no preprocess stage: the contrastive pretraining reads only the POI file
     assert main(["pretrain", "--config", str(cfg_path), "--kind", "calliper-encoder"]) == 0
     assert (Path(d["out_dir"]) / "calliper.nlck").is_file()
+
+
+def test_conventional_pipeline_shares_one_split(tmp_path, monkeypatch):
+    city = tmp_path / "city"
+    cfg_path = tmp_path / "cfg.json"
+    assert main([
+        "synth", "--out", str(city), "--seed", "2",
+        "--users", "10", "--locations", "15", "--categories", "3", "--days", "30",
+        "--write-config", str(cfg_path), "--split-mode", "conventional",
+    ]) == 0
+    d = json.loads(cfg_path.read_text())
+    d.update(seeds=[0, 1], train_epochs=1, train_patience=1, max_train_sequences=60, skipgram_epochs=1)
+    d["pretrain"]["epochs"] = 2
+    cfg_path.write_text(json.dumps(d))
+    out = Path(d["out_dir"])
+    for stage in ("preprocess", "pretrain"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+
+    applied = []
+    apply_split_manifest = nextloc.cli.apply_split_manifest
+
+    def counting(*args, **kwargs):
+        applied.append(args[1]["manifest_digest"])
+        return apply_split_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(nextloc.cli, "apply_split_manifest", counting)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert len(applied) == 1  # two run seeds times three kinds, one split
+    monkeypatch.undo()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+
+    kinds = ("calliper-encoder", "lookup-table", "skipgram-table")
+    expected = {
+        "sequences.json", "locations.json", "manifest_conventional.json",
+        "calliper.nlck", "calliper.log.json", "skipgram.nlck", "skipgram.log.json",
+        "metrics_conventional.json", "comparison_conventional.txt",
+        *(f"report_{k}_conventional.txt" for k in kinds),
+        *(f"predictor_{k}_seed{s}{ext}" for k in kinds for s in (0, 1) for ext in (".nlck", ".log.ndjson")),
+    }
+    assert {p.name for p in out.iterdir()} == expected
+    payload = json.loads((out / "metrics_conventional.json").read_text())
+    assert payload["seeds"] == [0, 1]
+    assert all(set(payload["kinds"][k]) == {"full"} for k in kinds)
 
 
 def test_argparse_requires_config():

@@ -1,4 +1,4 @@
-"""Ingestion, filtering, staypoints, clustering, sequences, splits, synthesis."""
+"""Ingestion, filtering, sequences, splits, synthesis."""
 
 import json
 
@@ -16,10 +16,7 @@ from nextloc.mobdata import (
     VisitRecord,
     apply_split_manifest,
     build_sequences,
-    cluster_staypoints,
-    convex_hull,
     default_transition_matrix,
-    detect_staypoints,
     filter_min_counts,
     generate_synthetic_city,
     load_checkins,
@@ -158,105 +155,6 @@ def test_filter_idempotent():
 def test_filter_all_removed_is_error():
     with pytest.raises(ValueError):
         filter_min_counts(records_with({"u1": ["A"] * 5}), 10, 10)
-
-
-# ---------------------------------------------------------------------------
-# staypoints
-
-
-def test_staypoint_dwell_becomes_centroid():
-    # 5 points within 50 units over 40 minutes, thresholds 200 units / 30 min
-    track = [
-        (0.0, GeoPoint(0.0, 0.0)),
-        (600.0, GeoPoint(30.0, 0.0)),
-        (1200.0, GeoPoint(0.0, 30.0)),
-        (1800.0, GeoPoint(-30.0, 0.0)),
-        (2400.0, GeoPoint(0.0, -30.0)),
-    ]
-    points = detect_staypoints(track, dist_threshold=200.0, time_threshold=1800.0)
-    assert len(points) == 1
-    sp = points[0]
-    assert sp.arrival == 0.0 and sp.departure == 2400.0
-    assert sp.centroid == GeoPoint(0.0, 0.0)
-
-
-def test_staypoint_moving_track_yields_none():
-    # constant velocity, 1 km in 10 minutes
-    track = [(t * 60.0, GeoPoint(t * 100.0, 0.0)) for t in range(11)]
-    assert detect_staypoints(track, dist_threshold=200.0, time_threshold=1800.0) == []
-
-
-def test_staypoint_empty_track():
-    assert detect_staypoints([], 200.0, 1800.0) == []
-
-
-def test_staypoint_rejects_unsorted():
-    track = [(100.0, GeoPoint(0, 0)), (50.0, GeoPoint(0, 0))]
-    with pytest.raises(ValueError):
-        detect_staypoints(track, 200.0, 1800.0)
-
-
-def test_staypoint_two_dwells_split_by_travel():
-    track = [
-        (0.0, GeoPoint(0.0, 0.0)),
-        (2000.0, GeoPoint(10.0, 0.0)),
-        (2100.0, GeoPoint(5000.0, 0.0)),
-        (4200.0, GeoPoint(5010.0, 0.0)),
-    ]
-    points = detect_staypoints(track, dist_threshold=100.0, time_threshold=1800.0)
-    assert len(points) == 2
-    assert points[0].centroid.x == 5.0
-    assert points[1].centroid.x == 5005.0
-
-
-# ---------------------------------------------------------------------------
-# clustering
-
-
-from nextloc.mobdata import Staypoint  # noqa: E402
-
-
-def sp(x, y, t=0.0):
-    return Staypoint(GeoPoint(x, y), t, t + 1)
-
-
-def test_cluster_two_far_groups():
-    points = [sp(0, 0), sp(10, 0), sp(10000, 0), sp(10010, 0)]
-    index = cluster_staypoints(points, eps=100.0, min_samples=1)
-    assert len(index) == 2
-
-
-def test_cluster_identical_points_single_location():
-    index = cluster_staypoints([sp(5, 5) for _ in range(4)], eps=10.0, min_samples=1)
-    assert len(index) == 1
-    loc = index.by_class(0)
-    assert loc.centroid == GeoPoint(5.0, 5.0)
-    assert len(loc.hull) == 1
-
-
-def test_cluster_chain_density_reachable():
-    points = [sp(i * 50.0, 0.0) for i in range(10)]
-    index = cluster_staypoints(points, eps=60.0, min_samples=1)
-    assert len(index) == 1
-
-
-def test_cluster_noise_becomes_singletons():
-    points = [sp(0, 0), sp(1, 0), sp(2, 0), sp(500, 500)]
-    index = cluster_staypoints(points, eps=5.0, min_samples=3)
-    # one dense cluster plus one noise singleton
-    assert len(index) == 2
-
-
-def test_convex_hull_square_with_interior_point():
-    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
-    hull = convex_hull(pts)
-    assert len(hull) == 4
-    assert {tuple(p) for p in hull} == {(0, 0), (1, 0), (1, 1), (0, 1)}
-
-
-def test_convex_hull_collinear_degrades():
-    hull = convex_hull(np.array([[0, 0], [1, 1], [2, 2], [3, 3]]))
-    assert len(hull) == 2
 
 
 # ---------------------------------------------------------------------------

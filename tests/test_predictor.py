@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nextloc.baselines import SkipgramEmbedder, VanillaE2EEmbedder
-from nextloc.baselines import EmbeddingTable
 from nextloc.geoenc import GeoPoint
 from nextloc.mobdata.model import DatasetSplit, Location, LocationIndex, MobilitySequence
 from nextloc.numcore import cross_entropy, finite_difference_check
@@ -61,7 +60,7 @@ def make_predictor(n_locs: int = 4, users=("u1", "u2"), cfg=None, dim: int = 8, 
 
 def test_forward_distribution_over_all_classes():
     model = make_predictor(n_locs=5)
-    probs = model.forward(seq("u1", ["L0", "L1", "L2"], "L3"))
+    probs = model.predict_proba([seq("u1", ["L0", "L1", "L2"], "L3")])[0]
     assert probs.shape == (5,)
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-6
@@ -70,14 +69,14 @@ def test_forward_distribution_over_all_classes():
 def test_forward_deterministic_in_eval_mode():
     model = make_predictor()
     s = seq("u1", ["L0", "L1"], "L2")
-    np.testing.assert_array_equal(model.forward(s), model.forward(s))
+    np.testing.assert_array_equal(model.predict_proba([s])[0], model.predict_proba([s])[0])
 
 
 def test_zeroed_head_gives_uniform_distribution():
     model = make_predictor(n_locs=7)
     model.store["head.w"].data[:] = 0.0
     model.store["head.b"].data[:] = 0.0
-    probs = model.forward(seq("u1", ["L0", "L3"], "L5"))
+    probs = model.predict_proba([seq("u1", ["L0", "L3"], "L5")])[0]
     np.testing.assert_array_equal(probs, np.full(7, 1.0 / 7.0))
 
 
@@ -89,18 +88,18 @@ def test_predict_proba_matches_single_forward():
     ]
     stacked = model.predict_proba(batch)
     assert stacked.shape == (2, 4)
-    np.testing.assert_allclose(stacked[0], model.forward(batch[0]), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(stacked[1], model.forward(batch[1]), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(stacked[0], model.predict_proba([batch[0]])[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(stacked[1], model.predict_proba([batch[1]])[0], rtol=1e-12, atol=1e-12)
 
 
 def test_unknown_users_share_one_embedding_row():
     model = make_predictor(users=("alice", "bob"))
     context = ["L0", "L1", "L2"]
-    p1 = model.forward(seq("stranger-one", context, "L3"))
-    p2 = model.forward(seq("stranger-two", context, "L3"))
+    p1 = model.predict_proba([seq("stranger-one", context, "L3")])[0]
+    p2 = model.predict_proba([seq("stranger-two", context, "L3")])[0]
     np.testing.assert_array_equal(p1, p2)
     # and differs from a known user's prediction in general
-    p3 = model.forward(seq("alice", context, "L3"))
+    p3 = model.predict_proba([seq("alice", context, "L3")])[0]
     assert not np.array_equal(p1, p3)
 
 
@@ -119,7 +118,7 @@ def test_long_context_equals_pretruncated_suffix():
     short_seq = MobilitySequence(
         user="u1", visits=tuple(long_visits[-4:]), target_location="L5", target_t=t0 + 9 * HOUR
     )
-    np.testing.assert_array_equal(model.forward(long_seq), model.forward(short_seq))
+    np.testing.assert_array_equal(model.predict_proba([long_seq])[0], model.predict_proba([short_seq])[0])
 
 
 def test_truncation_keeps_most_recent_visits():
@@ -128,30 +127,6 @@ def test_truncation_keeps_most_recent_visits():
     loc_idx, _, _, _, lengths, _ = model._featurize([seq("u1", ["L0", "L1", "L2", "L3"], "L0")])
     assert lengths[0] == 3
     np.testing.assert_array_equal(loc_idx[0], [1, 2, 3])  # L1, L2, L3 survive
-
-
-# ----------------------------------------------------------------------
-# ranking
-
-
-def test_predict_ranked_orders_by_probability():
-    model = make_predictor(n_locs=3)
-    model.store["head.w"].data[:] = 0.0
-    model.store["head.b"].data[:] = np.log(np.array([0.1, 0.7, 0.2]))
-    ranked = model.predict_ranked(seq("u1", ["L0"], "L1"))
-    assert [lid for lid, _ in ranked] == ["L1", "L2", "L0"]
-    np.testing.assert_allclose([p for _, p in ranked], [0.7, 0.2, 0.1], atol=1e-12)
-    # top of the ranking is the argmax class
-    probs = model.forward(seq("u1", ["L0"], "L1"))
-    assert ranked[0][0] == model.index.ids()[int(np.argmax(probs))]
-
-
-def test_predict_ranked_breaks_ties_by_class_index():
-    model = make_predictor(n_locs=4)
-    model.store["head.w"].data[:] = 0.0
-    model.store["head.b"].data[:] = 0.0  # every class equally likely
-    ranked = model.predict_ranked(seq("u1", ["L2"], "L0"))
-    assert [lid for lid, _ in ranked] == ["L0", "L1", "L2", "L3"]
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +206,7 @@ def test_training_rejects_empty_splits():
 
 def test_frozen_embedding_matrix_untouched_by_training():
     index = make_index(3)
-    table = EmbeddingTable(
-        matrix=make_rng(1, "t").standard_normal((3, 8)), init_scheme="test", trainable=False
-    )
-    emb = SkipgramEmbedder(table)
+    emb = SkipgramEmbedder(make_rng(1, "t").standard_normal((3, 8)))
     model = NextLocPredictor(index, ["u1"], emb, tiny_config(), seed=0)
     before = model.loc_matrix.tobytes()
     split = DatasetSplit(
@@ -246,6 +218,28 @@ def test_frozen_embedding_matrix_untouched_by_training():
     model.train(split, epochs=2, patience=2, batch_size=4, seed=0)
     assert model.loc_matrix.tobytes() == before
     assert "loc_table" not in model.store.names()
+
+
+def test_training_refuses_changed_frozen_embeddings(monkeypatch):
+    # an explicit check, not an assert, so `python -O` keeps it
+    index = make_index(3)
+    emb = SkipgramEmbedder(make_rng(1, "t").standard_normal((3, 8)))
+    model = NextLocPredictor(index, ["u1"], emb, tiny_config(), seed=0)
+    validation_loss = model._epoch_loss
+
+    def perturbing_epoch_loss(sequences, batch_size):
+        model.loc_matrix[0, 0] += 1.0
+        return validation_loss(sequences, batch_size)
+
+    monkeypatch.setattr(model, "_epoch_loss", perturbing_epoch_loss)
+    split = DatasetSplit(
+        train=[seq("u1", ["L0", "L1"], "L2", t0=i * 50 * HOUR) for i in range(4)],
+        validation=[seq("u1", ["L1", "L0"], "L2", t0=10_000_000)],
+        test=[],
+        mode="conventional",
+    )
+    with pytest.raises(RuntimeError, match="frozen skipgram-table embeddings changed"):
+        model.train(split, epochs=1, patience=1, batch_size=4, seed=0)
 
 
 def test_trainable_table_rows_for_absent_locations_stay_at_init():
@@ -274,29 +268,27 @@ def test_trainable_table_rows_for_absent_locations_stay_at_init():
 def test_save_load_round_trip(tmp_path):
     model = make_predictor(n_locs=4)
     s = seq("u1", ["L0", "L2", "L1"], "L3")
-    before = model.forward(s)
+    before = model.predict_proba([s])[0]
     path = tmp_path / "predictor.nlck"
     model.save(path)
     restored = NextLocPredictor.load(path, make_index(4))
-    np.testing.assert_array_equal(restored.forward(s), before)
+    np.testing.assert_array_equal(restored.predict_proba([s])[0], before)
     assert restored.embedder_kind == "lookup-table"
     assert restored.cfg == model.cfg
 
 
 def test_save_load_round_trip_frozen(tmp_path):
     index = make_index(3)
-    table = EmbeddingTable(
-        matrix=make_rng(2, "t").standard_normal((3, 8)), init_scheme="test", trainable=False
-    )
+    table = make_rng(2, "t").standard_normal((3, 8))
     model = NextLocPredictor(index, ["u1"], SkipgramEmbedder(table), tiny_config(), seed=0)
     s = seq("u1", ["L0", "L1"], "L2")
-    before = model.forward(s)
+    before = model.predict_proba([s])[0]
     path = tmp_path / "predictor.nlck"
     model.save(path)
     restored = NextLocPredictor.load(path, make_index(3))
     assert restored.embedder_frozen
     np.testing.assert_array_equal(restored.loc_matrix, model.loc_matrix)
-    np.testing.assert_array_equal(restored.forward(s), before)
+    np.testing.assert_array_equal(restored.predict_proba([s])[0], before)
 
 
 def test_load_rejects_index_mismatch(tmp_path):
