@@ -137,10 +137,10 @@ def skipgram_pretrain(
         return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
 
     epoch_losses: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(len(pairs))
         total, count = 0.0, 0
-        for start in range(0, len(pairs), batch_size):
+        for n, start in enumerate(range(0, len(pairs), batch_size), start=1):
             chunk = pairs[order[start : start + batch_size]]
             centers, contexts = chunk[:, 0], chunk[:, 1]
             b = len(chunk)
@@ -161,9 +161,10 @@ def skipgram_pretrain(
             np.add.at(w_out, negs.reshape(-1), -learning_rate * grad_vneg.reshape(-1, dim))
 
             eps = 1e-12
-            total += float(
-                -(np.log(s_pos + eps).sum() + (np.log(1.0 - s_neg + eps) * keep).sum())
-            )
+            loss = float(-(np.log(s_pos + eps).sum() + (np.log(1.0 - s_neg + eps) * keep).sum()))
+            if not np.isfinite(loss):
+                raise ValueError(f"pretrain: skip-gram seed {seed}: non-finite loss in epoch {epoch}, batch {n}")
+            total += loss
             count += b
         epoch_losses.append(total / count)
         if len(epoch_losses) >= 2:

@@ -8,10 +8,8 @@ each mini-batch. After pretraining, encode_location maps any coordinate to a
 d-dimensional embedding, which is what makes the downstream predictor usable
 on locations absent from its training data.
 
-Text vectorizers are deliberately simple and deterministic. The built-in one
-hashes character trigrams into a fixed 512-dimensional bag; alternatively a
-table of precomputed vectors (exported from any external sentence encoder)
-can be supplied.
+The text vectorizer is deliberately simple and deterministic: it hashes
+character trigrams into a fixed 512-dimensional bag.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class PoiRecord:
 
 
 # ---------------------------------------------------------------------------
-# text vectorizers (frozen: none of these carry trainable parameters)
+# text vectorizer (frozen: it carries no trainable parameters)
 
 
 class HashedNgramEmbedder:
@@ -89,30 +87,6 @@ class HashedNgramEmbedder:
         return np.stack([self.embed(t) for t in texts])
 
 
-class PrecomputedTextEmbedder:
-    """Lookup of externally computed description vectors."""
-
-    mode = "precomputed-table"
-
-    def __init__(self, table: dict[str, np.ndarray]):
-        if not table:
-            raise ValueError("precomputed text table is empty")
-        dims = {np.asarray(v).shape for v in table.values()}
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
-            raise ValueError(f"precomputed vectors must share one 1-d shape, got {sorted(dims)}")
-        self.table = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
-        self.dim = next(iter(dims))[0]
-
-    def embed(self, text: str) -> np.ndarray:
-        try:
-            return self.table[text]
-        except KeyError:
-            raise KeyError(f"no precomputed vector for description: {text!r}") from None
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self.embed(t) for t in texts])
-
-
 # ---------------------------------------------------------------------------
 # corpus files
 
@@ -137,46 +111,6 @@ def read_poi_file(path) -> list[PoiRecord]:
     if not pois:
         raise ValueError(f"{path}: no POI records")
     return pois
-
-
-def read_text_vector_file(path) -> dict[str, np.ndarray]:
-    """CSV rows of id followed by the vector components; no header."""
-    vectors: dict[str, np.ndarray] = {}
-    width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            poi_id, values = row[0], row[1:]
-            if poi_id in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate id {poi_id!r}")
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad vector component ({exc})") from None
-            if width is None:
-                width = len(vec)
-                if width < 1:
-                    raise ValueError(f"{path}:{lineno}: empty vector")
-            elif len(vec) != width:
-                raise ValueError(f"{path}:{lineno}: vector length {len(vec)} != {width}")
-            vectors[poi_id] = vec
-    if not vectors:
-        raise ValueError(f"{path}: no vectors")
-    return vectors
-
-
-def build_description_table(pois: list[PoiRecord], vectors_by_id: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Join id-keyed vectors onto descriptions; identical text must map to one vector."""
-    table: dict[str, np.ndarray] = {}
-    for poi in pois:
-        if poi.id not in vectors_by_id:
-            raise KeyError(f"no precomputed vector for POI id {poi.id!r} (description: {poi.description!r})")
-        vec = vectors_by_id[poi.id]
-        if poi.description in table and not np.array_equal(table[poi.description], vec):
-            raise ValueError(f"conflicting vectors for identical description: {poi.description!r}")
-        table[poi.description] = vec
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +191,15 @@ class CaLLiPerModel:
         return self._loc_tensor(np.asarray(p, dtype=np.float64)).data
 
     def embed_text(self, description: str) -> np.ndarray:
-        return self._text_tensor([description]).data[0]
+        return self._project(self.text_embedder.embed_batch([description])).data[0]
 
     def _loc_tensor(self, coords: np.ndarray) -> Tensor:
         return self.net.forward(grid_pe_batch(coords, self.grid))
 
-    def _text_tensor(self, descriptions: list[str]) -> Tensor:
-        raw = self.text_embedder.embed_batch(descriptions)
+    def _project(self, text_vectors: np.ndarray) -> Tensor:
         # Tensor() without requires_grad keeps the text tower frozen: the
         # graph stops here and only the projection receives gradients.
-        return add(matmul(Tensor(raw), self.store["proj.w"]), self.store["proj.b"])
+        return add(matmul(Tensor(text_vectors), self.store["proj.w"]), self.store["proj.b"])
 
     # -- training ------------------------------------------------------
 
@@ -275,22 +208,24 @@ class CaLLiPerModel:
             raise ValueError("pretrain: empty POI corpus")
         if len(pois) < 2:
             raise ValueError("pretrain: need at least 2 POIs for contrastive batches")
-        coords = np.array([[p.point.x, p.point.y] for p in pois])
-        descriptions = [p.description for p in pois]
+        # both towers' frozen inputs are computed once per corpus; batches index their rows
+        grid_features = grid_pe_batch(np.array([[p.point.x, p.point.y] for p in pois]), self.grid)
+        text_vectors = self.text_embedder.embed_batch([p.description for p in pois])
         optimizer = AdamState(self.store, lr=cfg.learning_rate)
         rng = make_rng(cfg.seed, "calliper-pretrain")
         params = self.store.tensors()
         epoch_losses = []
-        for _ in range(cfg.epochs):
+        for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(len(pois))
             total, count = 0.0, 0
-            for start in range(0, len(pois), cfg.batch_size):
+            for n, start in enumerate(range(0, len(pois), cfg.batch_size), start=1):
                 batch = order[start : start + cfg.batch_size]
                 if len(batch) < 2:
                     continue  # a leftover singleton carries no contrastive signal
-                z_loc = self._loc_tensor(coords[batch])
-                z_text = self._text_tensor([descriptions[i] for i in batch])
-                loss = infonce_loss(z_loc, z_text, cfg.temperature)
+                z_loc = self.net.forward(grid_features[batch])
+                loss = infonce_loss(z_loc, self._project(text_vectors[batch]), cfg.temperature)
+                if not np.isfinite(loss.item()):
+                    raise ValueError(f"pretrain: calliper seed {cfg.seed}: non-finite loss in epoch {epoch}, batch {n}")
                 backward(loss, params=params)
                 adam_step(self.store, optimizer)
                 total += loss.item() * len(batch)
@@ -314,22 +249,16 @@ class CaLLiPerModel:
         save_checkpoint(path, self.store.state_dict(), meta=meta)
 
     @classmethod
-    def load(cls, path, text_embedder=None, manifest_digest: str | None = None) -> "CaLLiPerModel":
+    def load(cls, path, manifest_digest: str | None = None) -> "CaLLiPerModel":
         params, meta = load_checkpoint(path)
         if meta.get("kind") != "calliper":
             raise ValueError(f"{path}: checkpoint is not a location-text model (kind={meta.get('kind')!r})")
         check_split(path, meta, manifest_digest)
-        if text_embedder is None:
-            if meta["text_mode"] != HashedNgramEmbedder.mode:
-                raise ValueError(
-                    f"{path}: checkpoint used text mode {meta['text_mode']!r}; pass the matching embedder"
-                )
-            text_embedder = HashedNgramEmbedder(meta["text_dim"])
-        if text_embedder.dim != meta["text_dim"]:
-            raise ValueError(f"{path}: text dimension {text_embedder.dim} != checkpoint {meta['text_dim']}")
+        if meta["text_mode"] != HashedNgramEmbedder.mode:
+            raise ValueError(f"{path}: checkpoint used text mode {meta['text_mode']!r}, which this package cannot rebuild")
         model = cls(
             GridSpec.from_dict(meta["grid"]),
-            text_embedder,
+            HashedNgramEmbedder(meta["text_dim"]),
             embed_dim=meta["embed_dim"],
             hidden_dim=meta["hidden_dim"],
         )

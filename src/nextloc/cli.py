@@ -27,7 +27,6 @@ from nextloc.baselines import (
 from nextloc.calliper import CaLLiPerModel, HashedNgramEmbedder, read_poi_file
 from nextloc.config import (
     EMBEDDER_KINDS,
-    PRESET_NAMES,
     ExperimentConfig,
     load_config,
     make_preset,

@@ -9,7 +9,7 @@ reads the wall clock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from nextloc.calliper import PretrainConfig
@@ -94,41 +94,9 @@ class ExperimentConfig:
         return len(self.seeds)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checkins_path": self.checkins_path,
-            "pois_path": self.pois_path,
-            "out_dir": self.out_dir,
-            "grid": self.grid.to_dict(),
-            "pretrain": {
-                "batch_size": self.pretrain.batch_size,
-                "temperature": self.pretrain.temperature,
-                "epochs": self.pretrain.epochs,
-                "learning_rate": self.pretrain.learning_rate,
-                "embed_dim": self.pretrain.embed_dim,
-                "hidden_dim": self.pretrain.hidden_dim,
-                "seed": self.pretrain.seed,
-            },
-            "predictor": self.predictor.to_dict(),
-            "split_mode": self.split_mode,
-            "holdout_fraction": self.holdout_fraction,
-            "seeds": list(self.seeds),
-            "embedder_kinds": list(self.embedder_kinds),
-            "min_visits_per_user": self.min_visits_per_user,
-            "min_visits_per_location": self.min_visits_per_location,
-            "window_days": self.window_days,
-            "min_context": self.min_context,
-            "split_ratios": list(self.split_ratios),
-            "train_epochs": self.train_epochs,
-            "train_patience": self.train_patience,
-            "train_batch_size": self.train_batch_size,
-            "train_learning_rate": self.train_learning_rate,
-            "max_train_sequences": self.max_train_sequences,
-            "skipgram_window": self.skipgram_window,
-            "skipgram_negatives": self.skipgram_negatives,
-            "skipgram_epochs": self.skipgram_epochs,
-            "skipgram_learning_rate": self.skipgram_learning_rate,
-        }
+        d = asdict(self)
+        del d["pretrain"]["grid"]  # the top-level grid is the one source
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -112,20 +112,12 @@ class FCNet:
         store.add(f"{prefix}.w3", rng.standard_normal((hidden, out_dim)) * he_std(hidden))
         store.add(f"{prefix}.b3", np.zeros(out_dim))
 
-    def param_names(self) -> list[str]:
-        return [f"{self.prefix}.{leaf}" for leaf in ("w1", "b1", "w2", "b2", "w3", "b3")]
-
     def forward(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"fcnet_forward: input shape {x.shape} does not match input dim {self.in_dim}")
+            raise ShapeError(f"FCNet.forward: input shape {x.shape} does not match input dim {self.in_dim}")
         p = self.store
         h = relu(add(matmul(x, p[f"{self.prefix}.w1"]), p[f"{self.prefix}.b1"]))
         h = add(h, add(matmul(h, p[f"{self.prefix}.w2"]), p[f"{self.prefix}.b2"]))
         return add(matmul(h, p[f"{self.prefix}.w3"]), p[f"{self.prefix}.b3"])
-
-
-def fcnet_forward(net: FCNet, pe: np.ndarray) -> np.ndarray:
-    """Convenience wrapper: plain array in, plain array out."""
-    return net.forward(pe).data

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from nextloc.geoenc import GeoPoint
 from nextloc.util import sha256_text, stable_json
@@ -57,9 +58,6 @@ class LocationIndex:
     def location(self, location_id: str) -> Location:
         return self._locations[self.class_of(location_id)]
 
-    def by_class(self, class_index: int) -> Location:
-        return self._locations[class_index]
-
     def to_dict(self) -> dict:
         return {
             "locations": [
@@ -113,7 +111,7 @@ class MobilitySequence:
         if times[-1] >= self.target_t:
             raise ValueError("context visits must strictly precede the target")
 
-    @property
+    @cached_property
     def id(self) -> str:
         return sequence_id(self.user, list(self.visits), self.target_location, self.target_t)
 

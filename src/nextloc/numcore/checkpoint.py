@@ -3,10 +3,11 @@
 Layout (all integers little-endian):
 
     bytes 0..3    magic b"NLCK"
-    bytes 4..7    format version (uint32), currently 1
+    bytes 4..7    format version (uint32), currently 2
     bytes 8..15   header length H (uint64)
     bytes 16..    H bytes of UTF-8 JSON:
-                    {"meta": {...}, "params": [{"name": ..., "shape": [...]}, ...]}
+                    {"meta": {...}, "params": [{"name": ..., "shape": [...]}, ...],
+                     "params_sha256": hex digest of every byte after the header}
                   entries sorted by name
     then          for each entry in header order, the values as
                   little-endian float64 in row-major order
@@ -17,17 +18,18 @@ training runs produce identical files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"NLCK"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(RuntimeError):
-    """Raised when a checkpoint file is malformed or truncated."""
+    """Raised when a checkpoint file is malformed, truncated or corrupted."""
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -37,17 +39,13 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = Non
         arr = np.ascontiguousarray(np.asarray(params[name], dtype=np.float64))
         entries.append({"name": name, "shape": list(arr.shape)})
         blobs.append(arr.astype("<f8", copy=False).tobytes())
+    values = b"".join(blobs)
     header = json.dumps(
-        {"meta": meta or {}, "params": entries}, sort_keys=True, separators=(",", ":")
+        {"meta": meta or {}, "params": entries, "params_sha256": hashlib.sha256(values).hexdigest()},
+        sort_keys=True,
+        separators=(",", ":"),
     ).encode("utf-8")
-    out = bytearray()
-    out += MAGIC
-    out += VERSION.to_bytes(4, "little")
-    out += len(header).to_bytes(8, "little")
-    out += header
-    for blob in blobs:
-        out += blob
-    Path(path).write_bytes(bytes(out))
+    Path(path).write_bytes(MAGIC + VERSION.to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + values)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -77,6 +75,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+    if header.get("params_sha256") != hashlib.sha256(raw[16 + hlen :]).hexdigest():
+        raise CheckpointError(f"{path}: parameter bytes do not match their digest (corrupt file)")
     return params, header.get("meta", {})
 
 

@@ -15,7 +15,7 @@ the trainable lookup table is registered as a parameter and learned jointly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,22 +69,37 @@ class PredictorConfig:
             raise ValueError("all dimensions must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "heads": self.heads,
-            "ff_dim": self.ff_dim,
-            "dropout": self.dropout,
-            "d_model": self.d_model,
-            "max_context": self.max_context,
-            "time_dim": self.time_dim,
-            "dow_dim": self.dow_dim,
-            "user_dim": self.user_dim,
-            "hour_buckets": self.hour_buckets,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictorConfig":
         return cls(**d)
+
+
+@dataclass(frozen=True)
+class Features:
+    """Encoded sequences, one row each.
+
+    The context columns (location class, hour bucket, weekday) hold a row's
+    most recent visits left-aligned and 0 past its length. Indexing by rows
+    gives a batch, trimmed to the longest context in it.
+    """
+
+    loc_idx: np.ndarray  # (n, t)
+    tod: np.ndarray  # (n, t)
+    dow: np.ndarray  # (n, t)
+    users: np.ndarray  # (n,) user row; unknown users share the last row
+    lengths: np.ndarray  # (n,)
+    targets: np.ndarray  # (n,) target class
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, rows) -> "Features":
+        lengths = self.lengths[rows]
+        t = lengths.max(initial=0)
+        cut = lambda col: col[rows, :t]
+        return Features(cut(self.loc_idx), cut(self.tod), cut(self.dow), self.users[rows], lengths, self.targets[rows])
 
 
 class NextLocPredictor:
@@ -144,28 +159,22 @@ class NextLocPredictor:
     # ------------------------------------------------------------------
     # featurization
 
-    def _user_index(self, user: str) -> int:
-        return self._user_row.get(user, len(self.users))
-
-    def _featurize(self, batch: list[MobilitySequence]):
-        t_max = min(self.cfg.max_context, max(len(s.visits) for s in batch))
-        b = len(batch)
-        loc_idx = np.zeros((b, t_max), dtype=np.int64)
-        tod = np.zeros((b, t_max), dtype=np.int64)
-        dow = np.zeros((b, t_max), dtype=np.int64)
-        users = np.zeros(b, dtype=np.int64)
-        lengths = np.zeros(b, dtype=np.int64)
-        targets = np.zeros(b, dtype=np.int64)
-        for i, seq in enumerate(batch):
-            visits = seq.visits[-t_max:]  # keep the most recent context
-            lengths[i] = len(visits)
-            users[i] = self._user_index(seq.user)
-            targets[i] = self.index.class_of(seq.target_location)
-            for j, (loc, t) in enumerate(visits):
-                loc_idx[i, j] = self.index.class_of(loc)
-                tod[i, j] = (t % 86400) * self.cfg.hour_buckets // 86400
-                dow[i, j] = (t // 86400 + 3) % 7  # epoch day 0 was a Thursday
-        return loc_idx, tod, dow, users, lengths, targets
+    def _featurize(self, sequences: list[MobilitySequence]) -> Features:
+        """Encode every sequence once, keeping its most recent `max_context` visits left-aligned."""
+        contexts = [s.visits[-self.cfg.max_context :] for s in sequences]
+        lengths = np.array([len(visits) for visits in contexts], dtype=np.int64)
+        valid = np.arange(lengths.max(initial=0))[None, :] < lengths[:, None]
+        class_of = self.index.class_of
+        loc_idx = np.zeros(valid.shape, dtype=np.int64)
+        times = np.zeros(valid.shape, dtype=np.int64)
+        loc_idx[valid] = [class_of(loc) for visits in contexts for loc, _ in visits]
+        times[valid] = [t for visits in contexts for _, t in visits]
+        # padded cells stay 0, as a weekday computed from time 0 would not
+        tod = np.where(valid, (times % 86400) * self.cfg.hour_buckets // 86400, 0)
+        dow = np.where(valid, (times // 86400 + 3) % 7, 0)  # epoch day 0 was a Thursday
+        users = np.array([self._user_row.get(s.user, len(self.users)) for s in sequences], dtype=np.int64)
+        targets = np.array([class_of(s.target_location) for s in sequences], dtype=np.int64)
+        return Features(loc_idx, tod, dow, users, lengths, targets)
 
     def _attention_mask(self, lengths: np.ndarray, t_max: int) -> np.ndarray:
         causal = np.tril(np.ones((t_max, t_max), dtype=bool))
@@ -176,26 +185,25 @@ class NextLocPredictor:
     # ------------------------------------------------------------------
     # forward
 
-    def forward_logits(self, batch: list[MobilitySequence], training: bool = False, rng=None) -> Tensor:
-        if not batch:
+    def forward_logits(self, batch: Features, training: bool = False, rng=None) -> Tensor:
+        if not len(batch):
             raise ValueError("empty batch")
         cfg = self.cfg
-        loc_idx, tod, dow, users, lengths, _ = self._featurize(batch)
-        b, t_max = loc_idx.shape
-        flat = loc_idx.reshape(-1)
+        b, t_max = batch.loc_idx.shape
+        flat = batch.loc_idx.reshape(-1)
         if self.embedder_frozen:
             loc_vecs = Tensor(self.loc_matrix[flat].reshape(b, t_max, self.emb_dim))
         else:
             loc_vecs = reshape(gather_rows(self.store["loc_table"], flat), (b, t_max, self.emb_dim))
-        tod_vecs = reshape(gather_rows(self.store["tod_emb"], tod.reshape(-1)), (b, t_max, cfg.time_dim))
-        dow_vecs = reshape(gather_rows(self.store["dow_emb"], dow.reshape(-1)), (b, t_max, cfg.dow_dim))
-        user_rows = np.repeat(users, t_max)
+        tod_vecs = reshape(gather_rows(self.store["tod_emb"], batch.tod.reshape(-1)), (b, t_max, cfg.time_dim))
+        dow_vecs = reshape(gather_rows(self.store["dow_emb"], batch.dow.reshape(-1)), (b, t_max, cfg.dow_dim))
+        user_rows = np.repeat(batch.users, t_max)
         user_vecs = reshape(gather_rows(self.store["user_emb"], user_rows), (b, t_max, cfg.user_dim))
         x = matmul(concat([loc_vecs, tod_vecs, dow_vecs, user_vecs], axis=-1), self.store["in_proj.w"])
         x = add(x, self.store["in_proj.b"])
         x = add(x, gather_rows(self.store["pos_emb"], np.arange(t_max)))
 
-        mask = self._attention_mask(lengths, t_max)
+        mask = self._attention_mask(batch.lengths, t_max)
         for l in range(cfg.layers):
             p = f"layer{l}"
             normed = layer_norm(x, self.store[f"{p}.ln1.g"], self.store[f"{p}.ln1.b"])
@@ -218,30 +226,27 @@ class NextLocPredictor:
                 ff = dropout(ff, cfg.dropout, rng, training=True)
             x = add(x, ff)
         x = layer_norm(x, self.store["final_ln.g"], self.store["final_ln.b"])
-        final_pos = np.arange(b) * t_max + (lengths - 1)
+        final_pos = np.arange(b) * t_max + (batch.lengths - 1)
         h_n = gather_rows(reshape(x, (b * t_max, cfg.d_model)), final_pos)
         return add(matmul(h_n, self.store["head.w"]), self.store["head.b"])
 
     def predict_proba(self, sequences: list[MobilitySequence], batch_size: int = 256) -> np.ndarray:
-        out = np.zeros((len(sequences), len(self.index)))
-        for start in range(0, len(sequences), batch_size):
-            chunk = sequences[start : start + batch_size]
-            out[start : start + len(chunk)] = softmax(self.forward_logits(chunk)).data
+        feats = self._featurize(sequences)
+        out = np.zeros((len(feats), len(self.index)))
+        for start in range(0, len(feats), batch_size):
+            rows = slice(start, start + batch_size)
+            out[rows] = softmax(self.forward_logits(feats[rows])).data
         return out
 
     # ------------------------------------------------------------------
     # training
 
-    def _epoch_loss(self, sequences: list[MobilitySequence], batch_size: int) -> float:
-        total, count = 0.0, 0
-        for start in range(0, len(sequences), batch_size):
-            chunk = sequences[start : start + batch_size]
-            logits = self.forward_logits(chunk)
-            _, _, _, _, _, targets = self._featurize(chunk)
-            loss = cross_entropy(logits, targets)
-            total += loss.item() * len(chunk)
-            count += len(chunk)
-        return total / count
+    def _epoch_loss(self, feats: Features, batch_size: int) -> float:
+        total = 0.0
+        for start in range(0, len(feats), batch_size):
+            batch = feats[start : start + batch_size]
+            total += cross_entropy(self.forward_logits(batch), batch.targets).item() * len(batch)
+        return total / len(feats)
 
     def train(
         self,
@@ -262,20 +267,22 @@ class NextLocPredictor:
         best_val = np.inf
         best_state = self.store.state_dict()
         wait = 0
+        train_feats, val_feats = self._featurize(split.train), self._featurize(split.validation)
         for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(split.train))
-            total, count = 0.0, 0
-            for start in range(0, len(order), batch_size):
-                chunk = [split.train[i] for i in order[start : start + batch_size]]
-                logits = self.forward_logits(chunk, training=True, rng=rng)
-                _, _, _, _, _, targets = self._featurize(chunk)
-                loss = cross_entropy(logits, targets)
+            order = rng.permutation(len(train_feats))
+            total = 0.0
+            for n, start in enumerate(range(0, len(order), batch_size), start=1):
+                batch = train_feats[order[start : start + batch_size]]
+                loss = cross_entropy(self.forward_logits(batch, training=True, rng=rng), batch.targets)
+                if not np.isfinite(loss.item()):
+                    raise ValueError(
+                        f"train: {self.embedder_kind} seed {seed}: non-finite loss in epoch {epoch}, batch {n}"
+                    )
                 backward(loss, params=params)
                 adam_step(self.store, optimizer)
-                total += loss.item() * len(chunk)
-                count += len(chunk)
-            val_loss = self._epoch_loss(split.validation, batch_size)
-            log.append({"epoch": epoch, "train_loss": total / count, "val_loss": val_loss})
+                total += loss.item() * len(batch)
+            val_loss = self._epoch_loss(val_feats, batch_size)
+            log.append({"epoch": epoch, "train_loss": total / len(train_feats), "val_loss": val_loss})
             if val_loss < best_val:
                 best_val = val_loss
                 best_state = self.store.state_dict()

@@ -210,10 +210,10 @@ def test_criterion_3_gradient_integrity(verdict):
         _seq("u2", ["L3", "L1"], "L0", 200_000),
         _seq("u1", ["L2"], "L1", 300_000),
     ]
-    _, _, _, _, _, targets = model._featurize(batch)
+    feats = model._featurize(batch)
 
     def predictor_loss():
-        return cross_entropy(model.forward_logits(batch), targets)
+        return cross_entropy(model.forward_logits(feats), feats.targets)
 
     rep3 = finite_difference_check(
         predictor_loss, model.store, max_entries_per_param=3, rng=make_rng(6, "fd-c")

@@ -88,6 +88,13 @@ def test_skipgram_loss_decreases():
     assert losses[-1] < losses[0]
 
 
+def test_skipgram_stops_on_a_non_finite_loss():
+    # a NaN step turns every row that batch 1 touched into NaN, so batch 2's loss is NaN
+    seqs = alternating_sequences(20)
+    with pytest.raises(ValueError, match=r"^pretrain: skip-gram seed 3: non-finite loss in epoch 1, batch 2$"):
+        skipgram_pretrain(seqs, make_index(3), dim=8, learning_rate=float("nan"), batch_size=8, seed=3)
+
+
 def test_skipgram_alternating_corpus_converges_to_confident_pair_score():
     # two strictly alternating locations: the input vector of one and the
     # output vector of the other must agree strongly after convergence

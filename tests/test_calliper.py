@@ -1,4 +1,4 @@
-"""Text vectorizers, the contrastive objective, and the pretraining loop."""
+"""Text vectorizer, the contrastive objective, and the pretraining loop."""
 
 import math
 
@@ -11,12 +11,9 @@ from nextloc.calliper import (
     CaLLiPerModel,
     HashedNgramEmbedder,
     PoiRecord,
-    PrecomputedTextEmbedder,
     PretrainConfig,
-    build_description_table,
     infonce_loss,
     read_poi_file,
-    read_text_vector_file,
 )
 from nextloc.geoenc import GeoPoint, GridSpec
 from nextloc.numcore import ParameterStore, ShapeError, Tensor, finite_difference_check
@@ -66,19 +63,6 @@ def test_hashed_ngram_same_text_same_vector(text):
     np.testing.assert_array_equal(first, emb.embed(text))
 
 
-def test_precomputed_lookup_and_missing_text_error():
-    emb = PrecomputedTextEmbedder({"park": np.ones(4), "cafe": np.zeros(4)})
-    np.testing.assert_array_equal(emb.embed("park"), np.ones(4))
-    with pytest.raises(KeyError) as err:
-        emb.embed("library")
-    assert "library" in str(err.value)
-
-
-def test_precomputed_rejects_mixed_widths():
-    with pytest.raises(ValueError):
-        PrecomputedTextEmbedder({"a": np.ones(4), "b": np.ones(5)})
-
-
 # ---------------------------------------------------------------------------
 # corpus files
 
@@ -105,35 +89,6 @@ def test_poi_file_rejects_missing_columns(tmp_path):
     path.write_text("id,x,y\np1,0.5,1.5\n")
     with pytest.raises(ValueError):
         read_poi_file(path)
-
-
-def test_text_vector_file_and_description_join(tmp_path):
-    path = tmp_path / "vecs.csv"
-    path.write_text("p1,1.0,0.0\np2,0.0,1.0\n")
-    vectors = read_text_vector_file(path)
-    pois = [
-        PoiRecord("p1", GeoPoint(0, 0), "cafe"),
-        PoiRecord("p2", GeoPoint(1, 1), "park"),
-    ]
-    table = build_description_table(pois, vectors)
-    np.testing.assert_array_equal(table["cafe"], [1.0, 0.0])
-
-
-def test_description_join_rejects_conflicting_vectors():
-    vectors = {"p1": np.array([1.0, 0.0]), "p2": np.array([0.0, 1.0])}
-    pois = [
-        PoiRecord("p1", GeoPoint(0, 0), "cafe"),
-        PoiRecord("p2", GeoPoint(1, 1), "cafe"),
-    ]
-    with pytest.raises(ValueError):
-        build_description_table(pois, vectors)
-
-
-def test_description_join_reports_missing_id():
-    pois = [PoiRecord("p9", GeoPoint(0, 0), "cafe")]
-    with pytest.raises(KeyError) as err:
-        build_description_table(pois, {"p1": np.ones(2)})
-    assert "p9" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +211,36 @@ def test_pretrain_leaves_text_vectorizer_untouched():
     model.pretrain(corner_corpus(), PretrainConfig(grid=GRID, batch_size=4, epochs=3, seed=1))
     after = emb.embed_batch([p.description for p in corner_corpus()]).tobytes()
     assert before == after
+
+
+def test_pretrain_encodes_each_poi_once(monkeypatch):
+    import nextloc.calliper
+
+    embedded, encoded = [], []
+    embed, grid_pe_batch = HashedNgramEmbedder.embed, nextloc.calliper.grid_pe_batch
+
+    def counting_embed(self, text):
+        embedded.append(text)
+        return embed(self, text)
+
+    def counting_grid_pe_batch(points, spec):
+        encoded.append(len(points))
+        return grid_pe_batch(points, spec)
+
+    monkeypatch.setattr(HashedNgramEmbedder, "embed", counting_embed)
+    monkeypatch.setattr(nextloc.calliper, "grid_pe_batch", counting_grid_pe_batch)
+    pois = corner_corpus() + [PoiRecord("p4", GeoPoint(0.0, 0.0), "city park")]
+    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=1)
+    model.pretrain(pois, PretrainConfig(grid=GRID, batch_size=2, epochs=6, seed=1))
+    assert sorted(embedded) == sorted(p.description for p in pois)
+    assert encoded == [len(pois)]
+
+
+def test_pretrain_stops_on_a_non_finite_loss():
+    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=1)
+    model.store["proj.b"].data[0] = np.nan
+    with pytest.raises(ValueError, match=r"^pretrain: calliper seed 6: non-finite loss in epoch 1, batch 1$"):
+        model.pretrain(corner_corpus(), PretrainConfig(grid=GRID, batch_size=2, epochs=2, seed=6))
 
 
 def test_pretrain_is_deterministic():

@@ -5,6 +5,7 @@ import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nextloc.cli
@@ -287,6 +288,32 @@ def test_corrupt_checkpoint_gives_an_error_line(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bad magic" in err
     assert "Traceback" not in err
+
+
+def test_flipped_parameter_bit_gives_an_error_line(pipeline, tmp_path, capsys):
+    work = tmp_path / "bitflip"
+    shutil.copytree(pipeline.out, work)
+    path = work / "predictor_lookup-table_seed0.nlck"
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x10  # inside the last parameter value
+    path.write_bytes(bytes(raw))
+    rc = main(["evaluate", "--config", str(pipeline.cfg_path), "--out", str(work)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "do not match their digest" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_training_loss_gives_an_error_line(pipeline, tmp_path, capsys, monkeypatch):
+    work = tmp_path / "nan"
+    shutil.copytree(pipeline.out, work)
+    monkeypatch.setattr(
+        nextloc.cli.VanillaE2EEmbedder, "embedding_matrix", lambda self, index: np.full((len(index), self.dim), np.nan)
+    )
+    argv = ["train", "--config", str(pipeline.cfg_path), "--out", str(work), "--kind", "lookup-table"]
+    assert main(argv + ["--seed-override", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: train: lookup-table seed 1: non-finite loss in epoch 1, batch 1\n"
 
 
 def test_missing_artifacts_give_clear_errors(pipeline, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc.geoenc import FCNet, GeoPoint, GridSpec, fcnet_forward, grid_pe, grid_pe_batch, scale_radii
+from nextloc.geoenc import FCNet, GeoPoint, GridSpec, grid_pe, grid_pe_batch, scale_radii
 from nextloc.numcore import ParameterStore, ShapeError, backward, finite_difference_check, tmean, mul
 
 finite_coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -105,14 +105,14 @@ def make_net(in_dim=16, out_dim=6, hidden=32, seed=0):
 def test_fcnet_deterministic():
     net, _ = make_net()
     x = np.random.default_rng(1).standard_normal((3, 16))
-    np.testing.assert_array_equal(fcnet_forward(net, x), fcnet_forward(net, x))
+    np.testing.assert_array_equal(net.forward(x).data, net.forward(x).data)
 
 
 def test_fcnet_output_dim_default_config():
     store = ParameterStore()
     spec = GridSpec(0.01, 10.0, 32)
     net = FCNet(spec.feature_dim, 128, store, np.random.default_rng(0))
-    out = fcnet_forward(net, grid_pe(GeoPoint(1.0, 2.0), spec))
+    out = net.forward(grid_pe(GeoPoint(1.0, 2.0), spec)).data
     assert out.shape == (1, 128)
     assert np.all(np.isfinite(out))
 
@@ -121,7 +121,7 @@ def test_fcnet_zero_final_layer_gives_zero_output():
     net, store = make_net()
     store["fcnet.w3"].data[:] = 0.0
     store["fcnet.b3"].data[:] = 0.0
-    out = fcnet_forward(net, np.ones((2, 16)))
+    out = net.forward(np.ones((2, 16))).data
     np.testing.assert_array_equal(out, np.zeros((2, 6)))
 
 
@@ -148,11 +148,11 @@ def test_fcnet_continuity_in_coordinates():
     spec = GridSpec(0.1, 10.0, 8)
     store = ParameterStore()
     net = FCNet(spec.feature_dim, 16, store, np.random.default_rng(7))
-    base = fcnet_forward(net, grid_pe(GeoPoint(1.0, 2.0), spec))
+    base = net.forward(grid_pe(GeoPoint(1.0, 2.0), spec)).data
     deltas = [1e-2, 1e-3, 1e-4]
     moves = []
     for d in deltas:
-        out = fcnet_forward(net, grid_pe(GeoPoint(1.0 + d, 2.0), spec))
+        out = net.forward(grid_pe(GeoPoint(1.0 + d, 2.0), spec)).data
         moves.append(np.linalg.norm(out - base))
     assert moves[0] > moves[1] > moves[2]
     assert moves[1] / moves[0] < 0.2 and moves[2] / moves[1] < 0.2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextloc.baselines import SkipgramEmbedder, VanillaE2EEmbedder
 from nextloc.geoenc import GeoPoint
@@ -124,9 +126,80 @@ def test_long_context_equals_pretruncated_suffix():
 def test_truncation_keeps_most_recent_visits():
     cfg = tiny_config(max_context=3)
     model = make_predictor(n_locs=4, cfg=cfg)
-    loc_idx, _, _, _, lengths, _ = model._featurize([seq("u1", ["L0", "L1", "L2", "L3"], "L0")])
-    assert lengths[0] == 3
-    np.testing.assert_array_equal(loc_idx[0], [1, 2, 3])  # L1, L2, L3 survive
+    feats = model._featurize([seq("u1", ["L0", "L1", "L2", "L3"], "L0")])
+    assert feats.lengths[0] == 3
+    np.testing.assert_array_equal(feats.loc_idx[0], [1, 2, 3])  # L1, L2, L3 survive
+
+
+def reference_featurize(model: NextLocPredictor, batch: list[MobilitySequence]):
+    """The per-batch encoding loop that `_featurize` replaced, kept as its oracle."""
+    t_max = min(model.cfg.max_context, max(len(s.visits) for s in batch))
+    b = len(batch)
+    loc_idx = np.zeros((b, t_max), dtype=np.int64)
+    tod = np.zeros((b, t_max), dtype=np.int64)
+    dow = np.zeros((b, t_max), dtype=np.int64)
+    users = np.zeros(b, dtype=np.int64)
+    lengths = np.zeros(b, dtype=np.int64)
+    targets = np.zeros(b, dtype=np.int64)
+    for i, s in enumerate(batch):
+        visits = s.visits[-t_max:]  # keep the most recent context
+        lengths[i] = len(visits)
+        users[i] = model._user_row.get(s.user, len(model.users))
+        targets[i] = model.index.class_of(s.target_location)
+        for j, (loc, t) in enumerate(visits):
+            loc_idx[i, j] = model.index.class_of(loc)
+            tod[i, j] = (t % 86400) * model.cfg.hour_buckets // 86400
+            dow[i, j] = (t // 86400 + 3) % 7  # epoch day 0 was a Thursday
+    return loc_idx, tod, dow, users, lengths, targets
+
+
+@st.composite
+def sequence_lists(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        t = draw(st.integers(-(10**6), 10**8))
+        visits = []
+        for _ in range(draw(st.integers(1, 10))):
+            visits.append((f"L{draw(st.integers(0, 5))}", t))
+            t += draw(st.integers(0, 200_000))
+        user = draw(st.sampled_from(["u1", "u2", "stranger"]))
+        target_t = t + draw(st.integers(1, 200_000))
+        out.append(MobilitySequence(user, tuple(visits), f"L{draw(st.integers(0, 5))}", target_t))
+    return out
+
+
+@given(data=st.data(), seqs=sequence_lists(), max_context=st.integers(1, 8), hour_buckets=st.integers(1, 48))
+@settings(max_examples=80, deadline=None)
+def test_row_slices_of_one_encoding_equal_per_batch_encoding(data, seqs, max_context, hour_buckets):
+    model = make_predictor(n_locs=6, cfg=tiny_config(max_context=max_context, hour_buckets=hour_buckets))
+    feats = model._featurize(seqs)
+    assert len(feats) == len(seqs)
+    rows = data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1, max_size=12))
+    start = data.draw(st.integers(0, len(seqs) - 1))
+    stop = data.draw(st.integers(start + 1, len(seqs)))
+    for batch, picked in ((feats[np.array(rows)], [seqs[i] for i in rows]), (feats[start:stop], seqs[start:stop])):
+        expected = reference_featurize(model, picked)
+        got = (batch.loc_idx, batch.tod, batch.dow, batch.users, batch.lengths, batch.targets)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+            assert g.shape == e.shape
+
+
+def test_training_encodes_each_split_once(monkeypatch):
+    encoded = []
+    featurize = NextLocPredictor._featurize
+
+    def counting(self, sequences):
+        encoded.append(len(sequences))
+        return featurize(self, sequences)
+
+    monkeypatch.setattr(NextLocPredictor, "_featurize", counting)
+    split = alternation_split()
+    model = NextLocPredictor(make_index(2), ["u0", "u1"], VanillaE2EEmbedder(dim=8), tiny_config(), seed=0)
+    history = model.train(split, epochs=3, patience=3, batch_size=16, seed=0)
+    assert history["epochs_run"] == 3
+    assert encoded == [len(split.train), len(split.validation)]
 
 
 # ----------------------------------------------------------------------
@@ -141,10 +214,10 @@ def test_gradients_match_finite_differences():
         seq("u2", ["L3", "L1"], "L0"),
         seq("u1", ["L2"], "L1"),
     ]
-    _, _, _, _, _, targets = model._featurize(batch)
+    feats = model._featurize(batch)
 
     def loss_fn():
-        return cross_entropy(model.forward_logits(batch), targets)
+        return cross_entropy(model.forward_logits(feats), feats.targets)
 
     report = finite_difference_check(
         loss_fn,
@@ -193,6 +266,13 @@ def test_training_learns_deterministic_alternation():
     predicted = np.argmax(probs, axis=1)
     truth = np.array([index.class_of(s.target_location) for s in split.test])
     assert (predicted == truth).mean() > 0.95
+
+
+def test_training_stops_on_a_non_finite_loss():
+    model = make_predictor(n_locs=2, users=("u0", "u1"))
+    model.store["head.b"].data[0] = np.nan
+    with pytest.raises(ValueError, match=r"^train: lookup-table seed 4: non-finite loss in epoch 1, batch 1$"):
+        model.train(alternation_split(), epochs=2, batch_size=16, seed=4)
 
 
 def test_training_rejects_empty_splits():
