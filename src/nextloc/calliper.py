@@ -146,11 +146,8 @@ def infonce_loss(z_loc: Tensor, z_text: Tensor, tau: float = 0.07) -> Tensor:
 
 @dataclass
 class PretrainConfig:
-    grid: GridSpec
     batch_size: int = 128
-    temperature: float = 0.07
     epochs: int = 30
-    learning_rate: float = 0.001
     embed_dim: int = 128
     hidden_dim: int = 256
     seed: int = 0
@@ -158,8 +155,6 @@ class PretrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError(f"contrastive batches need batch_size >= 2, got {self.batch_size}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -211,7 +206,7 @@ class CaLLiPerModel:
         # both towers' frozen inputs are computed once per corpus; batches index their rows
         grid_features = grid_pe_batch(np.array([[p.point.x, p.point.y] for p in pois]), self.grid)
         text_vectors = self.text_embedder.embed_batch([p.description for p in pois])
-        optimizer = AdamState(self.store, lr=cfg.learning_rate)
+        optimizer = AdamState(self.store)
         rng = make_rng(cfg.seed, "calliper-pretrain")
         params = self.store.tensors()
         epoch_losses = []
@@ -223,7 +218,7 @@ class CaLLiPerModel:
                 if len(batch) < 2:
                     continue  # a leftover singleton carries no contrastive signal
                 z_loc = self.net.forward(grid_features[batch])
-                loss = infonce_loss(z_loc, self._project(text_vectors[batch]), cfg.temperature)
+                loss = infonce_loss(z_loc, self._project(text_vectors[batch]))
                 if not np.isfinite(loss.item()):
                     raise ValueError(f"pretrain: calliper seed {cfg.seed}: non-finite loss in epoch {epoch}, batch {n}")
                 backward(loss, params=params)

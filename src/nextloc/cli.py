@@ -149,19 +149,17 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
     cfg.validate_paths()
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     records, index = load_checkins(cfg.checkins_path)
-    records = filter_min_counts(records, cfg.min_visits_per_location, cfg.min_visits_per_user)
+    records = filter_min_counts(records, cfg.min_visits_per_location)
     surviving = sorted({r.location for r in records})
     if len(surviving) != len(index):
         index = LocationIndex([index.location(i) for i in surviving])
-    sequences = build_sequences(
-        records, window_seconds=cfg.window_days * 86400, min_context=cfg.min_context
-    )
+    sequences = build_sequences(records)
     if not sequences:
         raise ValueError("no usable sequences after filtering; lower the thresholds")
     seq_hash = write_sequences(artifact(cfg, "sequences"), sequences)
     artifact(cfg, "locations").write_text(stable_json(index.to_dict()) + "\n", encoding="utf-8")
     extra = {"dataset": cfg.name, "index_hash": index.content_hash()}
-    conventional = split_conventional(sequences, cfg.split_ratios, records=records)
+    conventional = split_conventional(sequences, records=records)
     print(f"locations: {len(index)}  visits: {len(records)}  sequences: {len(sequences)}")
     print(f"sequences_hash: {seq_hash}")
     print(f"index_hash: {index.content_hash()}")
@@ -227,10 +225,7 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
             split.train,
             index,
             dim=cfg.pretrain.embed_dim,
-            window=cfg.skipgram_window,
-            negatives=cfg.skipgram_negatives,
             epochs=cfg.skipgram_epochs,
-            learning_rate=cfg.skipgram_learning_rate,
             seed=cfg.pretrain.seed,
         )
         path = artifact(cfg, "skipgram", split_seed, ".nlck")
@@ -305,7 +300,6 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
                 epochs=cfg.train_epochs,
                 patience=cfg.train_patience,
                 batch_size=cfg.train_batch_size,
-                learning_rate=cfg.train_learning_rate,
                 seed=seed,
             )
             path = artifact(cfg, f"predictor_{k}", seed, ".nlck")
@@ -404,11 +398,7 @@ def cmd_visualize(cfg: ExperimentConfig, kind: str) -> int:
     cfg = replace(cfg, seeds=cfg.seeds[:1])  # one projection, of the first seed's split
     sequences, seq_hash, index = _load_store(cfg)
     for split_seed, (_, manifest) in _load_splits(cfg, sequences, seq_hash).items():
-        if kind == "calliper-encoder":
-            coords = np.array([[loc.centroid.x, loc.centroid.y] for loc in index])
-            matrix = _load_calliper(cfg, split_seed, manifest).encode_location(coords)
-        else:
-            matrix = _load_skipgram(cfg, index, split_seed, manifest)
+        matrix = _build_embedder(cfg, kind, index, split_seed, manifest, cfg.seeds[0]).embedding_matrix(index)
         l_new = set(manifest["l_new"])
         proj = project_2d(matrix, ["new" if i in l_new else "seen" for i in index.ids()])
         svg_file = artifact(cfg, f"projection_{kind}_{cfg.split_mode}", split_seed, ".svg")

@@ -9,7 +9,7 @@ reads the wall clock.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from nextloc.calliper import PretrainConfig
@@ -22,6 +22,8 @@ EMBEDDER_KINDS = ("calliper-encoder", "lookup-table", "skipgram-table")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What one experiment sets; fixed protocol values stay the defaults of the functions that use them."""
+
     name: str
     checkins_path: str
     pois_path: str
@@ -33,25 +35,16 @@ class ExperimentConfig:
     holdout_fraction: float = 0.1
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     embedder_kinds: tuple[str, ...] = EMBEDDER_KINDS
-    min_visits_per_user: int = 10
     min_visits_per_location: int = 10
-    window_days: int = 7
-    min_context: int = 3
-    split_ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
     train_epochs: int = 100
     train_patience: int = 3
     train_batch_size: int = 128
-    train_learning_rate: float = 0.001
     max_train_sequences: int = 0  # 0 disables the cap
-    skipgram_window: int = 2
-    skipgram_negatives: int = 5
     skipgram_epochs: int = 5
-    skipgram_learning_rate: float = 0.025
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "embedder_kinds", tuple(self.embedder_kinds))
-        object.__setattr__(self, "split_ratios", tuple(float(r) for r in self.split_ratios))
         if self.split_mode not in ("conventional", "inductive"):
             raise ValueError(f"unknown split mode {self.split_mode!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -67,43 +60,26 @@ class ExperimentConfig:
                 raise ValueError(f"unknown embedder kind {kind!r}; valid: {EMBEDDER_KINDS}")
         if len(set(self.embedder_kinds)) != len(self.embedder_kinds):
             raise ValueError("embedder kinds must be distinct")
-        if len(self.split_ratios) != 3 or min(self.split_ratios) <= 0:
-            raise ValueError("split ratios must be three positive numbers")
-        if self.grid != self.pretrain.grid:
-            raise ValueError("config grid and contrastive-pretraining grid must agree")
         if min(
-            self.min_visits_per_user,
             self.min_visits_per_location,
-            self.window_days,
-            self.min_context,
             self.train_epochs,
             self.train_patience,
             self.train_batch_size,
-            self.skipgram_window,
-            self.skipgram_negatives,
             self.skipgram_epochs,
         ) < 1:
             raise ValueError("count and size settings must be positive")
         if self.max_train_sequences < 0:
             raise ValueError("max_train_sequences must be >= 0")
-        if self.train_learning_rate <= 0 or self.skipgram_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.seeds)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        del d["pretrain"]["grid"]  # the top-level grid is the one source
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        grid = GridSpec.from_dict(d.pop("grid"))
-        pretrain = PretrainConfig(grid=grid, **d.pop("pretrain"))
-        predictor = PredictorConfig.from_dict(d.pop("predictor"))
+        d = _exact_keys(cls, d)
+        grid = GridSpec.from_dict(_exact_keys(GridSpec, d.pop("grid"), "grid."))
+        pretrain = PretrainConfig(**_exact_keys(PretrainConfig, d.pop("pretrain"), "pretrain."))
+        predictor = PredictorConfig.from_dict(_exact_keys(PredictorConfig, d.pop("predictor"), "predictor."))
         return cls(grid=grid, pretrain=pretrain, predictor=predictor, **d)
 
     def validate_paths(self) -> None:
@@ -111,6 +87,22 @@ class ExperimentConfig:
         missing = [p for p in (self.checkins_path, self.pois_path) if not Path(p).is_file()]
         if missing:
             raise FileNotFoundError("missing input file(s): " + ", ".join(missing))
+
+
+def _exact_keys(cls, d, prefix: str = "") -> dict:
+    """A copy of `d`, whose keys must be exactly the fields of `cls`.
+
+    A key the config no longer has is refused rather than ignored, so an old
+    file cannot run with a value other than the one it names.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"config: {prefix.rstrip('.') or 'the top level'} must be an object")
+    names = {f.name for f in fields(cls)}
+    problems = [f"unknown key {prefix + k!r}" for k in sorted(set(d) - names)]
+    problems += [f"missing key {prefix + k!r}" for k in sorted(names - set(d))]
+    if problems:
+        raise ValueError("config: " + ", ".join(problems))
+    return dict(d)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -152,30 +144,26 @@ def make_preset(
 ) -> ExperimentConfig:
     if name in _CHECKIN_PRESETS:
         p = _CHECKIN_PRESETS[name]
-        grid = GridSpec(p["r_min"], p["r_max"], 32)
         return ExperimentConfig(
             name=name,
             checkins_path=checkins_path,
             pois_path=pois_path,
             out_dir=out_dir,
-            grid=grid,
-            pretrain=PretrainConfig(grid=grid, batch_size=p["batch_size"]),
+            grid=GridSpec(p["r_min"], p["r_max"], 32),
+            pretrain=PretrainConfig(batch_size=p["batch_size"]),
             predictor=PredictorConfig(),
             split_mode=split_mode,
         )
     if name == "synthetic-desk":
         # city coordinates live on a radius-6 ring with sigma-0.8 spread,
         # so useful structure spans roughly 0.1 to 20 units
-        grid = GridSpec(0.1, 20.0, 16)
         return ExperimentConfig(
             name=name,
             checkins_path=checkins_path,
             pois_path=pois_path,
             out_dir=out_dir,
-            grid=grid,
-            pretrain=PretrainConfig(
-                grid=grid, batch_size=64, epochs=40, embed_dim=64, hidden_dim=128
-            ),
+            grid=GridSpec(0.1, 20.0, 16),
+            pretrain=PretrainConfig(batch_size=64, epochs=40, embed_dim=64, hidden_dim=128),
             predictor=PredictorConfig(
                 layers=2,
                 heads=4,
@@ -188,7 +176,6 @@ def make_preset(
                 user_dim=8,
             ),
             split_mode=split_mode,
-            min_visits_per_user=10,
             min_visits_per_location=10,
             train_epochs=12,
             train_patience=2,

@@ -36,8 +36,8 @@ class GridSpec:
     n_scales: int = 32
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError(f"GridSpec requires 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError(f"GridSpec requires 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         if int(self.n_scales) != self.n_scales or self.n_scales < 2:
             raise ValueError(f"GridSpec requires at least 2 scales, got {self.n_scales}")
 

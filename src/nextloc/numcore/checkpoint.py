@@ -3,11 +3,11 @@
 Layout (all integers little-endian):
 
     bytes 0..3    magic b"NLCK"
-    bytes 4..7    format version (uint32), currently 2
-    bytes 8..15   header length H (uint64)
-    bytes 16..    H bytes of UTF-8 JSON:
-                    {"meta": {...}, "params": [{"name": ..., "shape": [...]}, ...],
-                     "params_sha256": hex digest of every byte after the header}
+    bytes 4..7    format version (uint32), currently 3
+    bytes 8..39   sha256 of every other byte of the file
+    bytes 40..47  header length H (uint64)
+    bytes 48..    H bytes of UTF-8 JSON:
+                    {"meta": {...}, "params": [{"name": ..., "shape": [...]}, ...]}
                   entries sorted by name
     then          for each entry in header order, the values as
                   little-endian float64 in row-major order
@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"NLCK"
-VERSION = 2
+VERSION = 3
+PREFIX = 48  # magic, version, digest and header length
 
 
 class CheckpointError(RuntimeError):
@@ -39,31 +40,30 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = Non
         arr = np.ascontiguousarray(np.asarray(params[name], dtype=np.float64))
         entries.append({"name": name, "shape": list(arr.shape)})
         blobs.append(arr.astype("<f8", copy=False).tobytes())
-    values = b"".join(blobs)
-    header = json.dumps(
-        {"meta": meta or {}, "params": entries, "params_sha256": hashlib.sha256(values).hexdigest()},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    Path(path).write_bytes(MAGIC + VERSION.to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + values)
+    header = json.dumps({"meta": meta or {}, "params": entries}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    lead = MAGIC + VERSION.to_bytes(4, "little")
+    body = len(header).to_bytes(8, "little") + header + b"".join(blobs)
+    Path(path).write_bytes(lead + hashlib.sha256(lead + body).digest() + body)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
+    if len(raw) < PREFIX or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a parameter checkpoint (bad magic)")
     version = int.from_bytes(raw[4:8], "little")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    hlen = int.from_bytes(raw[8:16], "little")
-    if len(raw) < 16 + hlen:
+    if raw[8:40] != hashlib.sha256(raw[:8] + raw[40:]).digest():
+        raise CheckpointError(f"{path}: contents do not match their digest (corrupt file)")
+    hlen = int.from_bytes(raw[40:48], "little")
+    if len(raw) < PREFIX + hlen:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+        header = json.loads(raw[PREFIX : PREFIX + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from None
     params: dict[str, np.ndarray] = {}
-    offset = 16 + hlen
+    offset = PREFIX + hlen
     for entry in header.get("params", []):
         shape = tuple(int(s) for s in entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -75,8 +75,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    if header.get("params_sha256") != hashlib.sha256(raw[16 + hlen :]).hexdigest():
-        raise CheckpointError(f"{path}: parameter bytes do not match their digest (corrupt file)")
     return params, header.get("meta", {})
 
 

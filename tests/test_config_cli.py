@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import nextloc.cli
-from nextloc.calliper import PretrainConfig
 from nextloc.cli import main
 from nextloc.config import (
     ExperimentConfig,
@@ -17,8 +16,6 @@ from nextloc.config import (
     make_preset,
     save_config,
 )
-from nextloc.geoenc import GridSpec
-from nextloc.predictor import PredictorConfig
 
 # ----------------------------------------------------------------------
 # config
@@ -64,19 +61,63 @@ def test_config_validation(tmp_path):
         desk_config(tmp_path, train_epochs=0)
 
 
-def test_config_grid_must_match_pretrain_grid(tmp_path):
-    grid_a = GridSpec(0.1, 20.0, 16)
-    grid_b = GridSpec(0.01, 10.0, 16)
-    with pytest.raises(ValueError, match="grid"):
-        ExperimentConfig(
-            name="x",
-            checkins_path="a.csv",
-            pois_path="b.csv",
-            out_dir=str(tmp_path),
-            grid=grid_a,
-            pretrain=PretrainConfig(grid=grid_b),
-            predictor=PredictorConfig(),
-        )
+def test_written_config_has_exactly_these_settings(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    assert main(["synth", "--out", str(tmp_path / "city"), "--users", "4", "--locations", "6",
+                 "--days", "3", "--write-config", str(cfg_path)]) == 0
+    d = json.loads(cfg_path.read_text())
+    keys = {f"{k}.{sub}" for k, v in d.items() if isinstance(v, dict) for sub in v}
+    keys |= {k for k, v in d.items() if not isinstance(v, dict)}
+    assert keys == {
+        "name", "checkins_path", "pois_path", "out_dir", "split_mode", "holdout_fraction", "seeds",
+        "embedder_kinds", "min_visits_per_location", "train_epochs", "train_patience", "train_batch_size",
+        "max_train_sequences", "skipgram_epochs",
+        "grid.r_min", "grid.r_max", "grid.n_scales",
+        "pretrain.batch_size", "pretrain.epochs", "pretrain.embed_dim", "pretrain.hidden_dim", "pretrain.seed",
+        "predictor.layers", "predictor.heads", "predictor.ff_dim", "predictor.dropout", "predictor.d_model",
+        "predictor.max_context", "predictor.time_dim", "predictor.dow_dim", "predictor.user_dim",
+        "predictor.hour_buckets",
+    }
+
+
+def write_edited_config(tmp_path: Path, key: str, value=None, delete: bool = False) -> Path:
+    """The desk config with one setting (`section.name` for a nested one) set or deleted."""
+    d = desk_config(tmp_path).to_dict()
+    *section, name = key.split(".")
+    target = d[section[0]] if section else d
+    if delete:
+        del target[name]
+    else:
+        target[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value, delete, message",
+    [
+        ("train_learning_rate", 0.001, False, "unknown key 'train_learning_rate'"),
+        ("pretrain.temperature", 0.07, False, "unknown key 'pretrain.temperature'"),
+        ("name", None, True, "missing key 'name'"),
+    ],
+)
+def test_config_with_a_removed_or_missing_key_is_refused(tmp_path, capsys, key, value, delete, message):
+    path = write_edited_config(tmp_path, key, value, delete)
+    assert main(["preprocess", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["holdout_fraction", "grid.r_min", "grid.r_max", "predictor.dropout"])
+def test_non_finite_float_setting_is_refused(tmp_path, capsys, key, value):
+    path = write_edited_config(tmp_path, key, value)
+    with pytest.raises(ValueError):
+        load_config(path)
+    assert main(["preprocess", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_presets_carry_published_settings():
@@ -278,30 +319,39 @@ def test_checkpoint_from_an_older_split_is_refused(stale, capsys, argv):
     assert {p.name: p.read_bytes() for p in stale.out.glob("*.nlck")} == before
 
 
-def test_corrupt_checkpoint_gives_an_error_line(pipeline, tmp_path, capsys):
+def evaluate_with_corrupt_predictor(pipeline, tmp_path, capsys, corrupt) -> str:
+    """stderr of `evaluate` over a copy of the pipeline whose lookup-table seed-0 checkpoint is `corrupt(raw)`."""
     work = tmp_path / "corrupt"
     shutil.copytree(pipeline.out, work)
     path = work / "predictor_lookup-table_seed0.nlck"
-    path.write_bytes(b"JUNK" + path.read_bytes()[4:])
+    path.write_bytes(corrupt(path.read_bytes()))
     rc = main(["evaluate", "--config", str(pipeline.cfg_path), "--out", str(work)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "bad magic" in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_corrupt_checkpoint_gives_an_error_line(pipeline, tmp_path, capsys):
+    err = evaluate_with_corrupt_predictor(pipeline, tmp_path, capsys, lambda raw: b"JUNK" + raw[4:])
+    assert "bad magic" in err
 
 
 def test_flipped_parameter_bit_gives_an_error_line(pipeline, tmp_path, capsys):
-    work = tmp_path / "bitflip"
-    shutil.copytree(pipeline.out, work)
-    path = work / "predictor_lookup-table_seed0.nlck"
-    raw = bytearray(path.read_bytes())
-    raw[-3] ^= 0x10  # inside the last parameter value
-    path.write_bytes(bytes(raw))
-    rc = main(["evaluate", "--config", str(pipeline.cfg_path), "--out", str(work)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "do not match their digest" in err
-    assert "Traceback" not in err
+    def flip(raw):
+        raw = bytearray(raw)
+        raw[-3] ^= 0x10  # inside the last parameter value
+        return bytes(raw)
+
+    assert "do not match their digest" in evaluate_with_corrupt_predictor(pipeline, tmp_path, capsys, flip)
+
+
+def test_flipped_header_bit_gives_an_error_line(pipeline, tmp_path, capsys):
+    def flip(raw):
+        assert raw.count(b'"u000"') == 1
+        return raw.replace(b'"u000"', b'"u100"')  # one bit of a user name in the header
+
+    assert "do not match their digest" in evaluate_with_corrupt_predictor(pipeline, tmp_path, capsys, flip)
 
 
 def test_non_finite_training_loss_gives_an_error_line(pipeline, tmp_path, capsys, monkeypatch):
