@@ -1,10 +1,10 @@
-"""Reference location-embedding sources for the downstream predictor.
+"""Location-embedding matrices for the downstream predictor, one per kind.
 
-Three kinds plug into the same EmbedderHandle shape:
+Each adapter's `embedding_matrix(index)` gives the (|L|, d) matrix the
+predictor starts from:
 
-  - lookup-table: a trainable table learned jointly with the predictor;
-    rows of locations that never occur in training data keep their
-    initialization.
+  - lookup-table: the initialization of a table the predictor learns
+    jointly; rows of locations that never occur in training data keep it.
   - skipgram-table: a frozen table pretrained with skip-gram negative
     sampling over per-user visit streams.
   - calliper-encoder: frozen embeddings computed from coordinates by a
@@ -23,9 +23,6 @@ from nextloc.util import make_rng
 class VanillaE2EEmbedder:
     """Plain lookup table, trained end-to-end inside the predictor."""
 
-    kind = "lookup-table"
-    frozen = False
-
     def __init__(self, dim: int = 128, seed: int = 0):
         self.dim = int(dim)
         self.seed = int(seed)
@@ -39,12 +36,8 @@ class VanillaE2EEmbedder:
 class SkipgramEmbedder:
     """Frozen rows from a skip-gram run; untouched rows stay at init."""
 
-    kind = "skipgram-table"
-    frozen = True
-
     def __init__(self, table: np.ndarray):
         self.table = table  # (|L|, d)
-        self.dim = table.shape[1]
 
     def embedding_matrix(self, index: LocationIndex) -> np.ndarray:
         if self.table.shape[0] != len(index):
@@ -55,17 +48,13 @@ class SkipgramEmbedder:
 class CalliperEmbedder:
     """Frozen coordinate-derived embeddings from a pretrained model."""
 
-    kind = "calliper-encoder"
-    frozen = True
-
     def __init__(self, model: CaLLiPerModel):
         self.model = model
-        self.dim = model.embed_dim
 
     def embedding_matrix(self, index: LocationIndex) -> np.ndarray:
         coords = np.array([[loc.centroid.x, loc.centroid.y] for loc in index])
         if len(coords) == 0:
-            return np.zeros((0, self.dim))
+            return np.zeros((0, self.model.embed_dim))
         return self.model.encode_location(coords)
 
 

@@ -35,7 +35,7 @@ from nextloc.numcore import (
     scale,
     transpose,
 )
-from nextloc.numcore.checkpoint import check_split, load_checkpoint, save_checkpoint
+from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
 from nextloc.util import make_rng
 
 
@@ -245,10 +245,7 @@ class CaLLiPerModel:
 
     @classmethod
     def load(cls, path, manifest_digest: str | None = None) -> "CaLLiPerModel":
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != "calliper":
-            raise ValueError(f"{path}: checkpoint is not a location-text model (kind={meta.get('kind')!r})")
-        check_split(path, meta, manifest_digest)
+        params, meta = load_checkpoint(path, kind="calliper", manifest_digest=manifest_digest)
         if meta["text_mode"] != HashedNgramEmbedder.mode:
             raise ValueError(f"{path}: checkpoint used text mode {meta['text_mode']!r}, which this package cannot rebuild")
         model = cls(

@@ -57,11 +57,9 @@ from nextloc.mobdata import (
     write_sequences,
     write_split_manifest,
 )
-from nextloc.numcore.checkpoint import CheckpointError, check_split, load_checkpoint, save_checkpoint
+from nextloc.numcore.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from nextloc.predictor import NextLocPredictor
-from nextloc.util import make_rng, stable_json
-
-TEXT_HASH_DIM = 512  # trigram text features for the location-text encoder
+from nextloc.util import make_rng, stable_json, write_atomic
 
 # ----------------------------------------------------------------------
 # run plan and artifact names
@@ -97,10 +95,6 @@ def _existing(path: Path, stage: str) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(stable_json(payload) + "\n", encoding="utf-8")
-
-
 # ----------------------------------------------------------------------
 # shared loading
 
@@ -113,31 +107,22 @@ def _load_store(cfg) -> tuple[list, str, LocationIndex]:
     return sequences, seq_hash, index
 
 
-def _load_splits(cfg, sequences, seq_hash) -> dict[int | None, tuple[DatasetSplit, dict]]:
-    """Every split of the plan with its manifest, each rebuilt once from the store."""
-    splits = {}
-    for split_seed in split_seeds(cfg):
-        path = _existing(artifact(cfg, f"manifest_{cfg.split_mode}", split_seed), "preprocess")
-        manifest = read_split_manifest(path)
-        splits[split_seed] = (apply_split_manifest(sequences, manifest, seq_hash), manifest)
-    return splits
+def _load_splits(cfg, sequences, seq_hash) -> dict[int | None, DatasetSplit]:
+    """Every split of the plan by split seed, each rebuilt once from the store."""
+    stem = f"manifest_{cfg.split_mode}"
+    paths = {seed: _existing(artifact(cfg, stem, seed), "preprocess") for seed in split_seeds(cfg)}
+    return {seed: apply_split_manifest(sequences, read_split_manifest(path), seq_hash) for seed, path in paths.items()}
 
 
-def _load_calliper(cfg, split_seed: int | None, manifest: dict) -> CaLLiPerModel:
-    path = _existing(artifact(cfg, "calliper", split_seed, ".nlck"), "pretrain")
+def _load_calliper(cfg, split: DatasetSplit) -> CaLLiPerModel:
+    path = _existing(artifact(cfg, "calliper", split.seed, ".nlck"), "pretrain")
     # the conventional encoder saw every POI, so it belongs to no split
-    digest = None if split_seed is None else manifest["manifest_digest"]
-    return CaLLiPerModel.load(path, manifest_digest=digest)
+    return CaLLiPerModel.load(path, manifest_digest=None if split.seed is None else split.digest)
 
 
-def _load_skipgram(cfg, index: LocationIndex, split_seed: int | None, manifest: dict) -> np.ndarray:
-    path = _existing(artifact(cfg, "skipgram", split_seed, ".nlck"), "pretrain")
-    params, meta = load_checkpoint(path)
-    if meta.get("kind") != "skipgram-table":
-        raise ValueError(f"{path}: not a skip-gram table checkpoint")
-    if meta["index_hash"] != index.content_hash():
-        raise ValueError(f"{path}: table was trained against a different location index")
-    check_split(path, meta, manifest["manifest_digest"])
+def _load_skipgram(cfg, index: LocationIndex, split: DatasetSplit) -> np.ndarray:
+    path = _existing(artifact(cfg, "skipgram", split.seed, ".nlck"), "pretrain")
+    params, _ = load_checkpoint(path, "skipgram-table", index.content_hash(), split.digest)
     return params["table"]
 
 
@@ -157,7 +142,7 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
     if not sequences:
         raise ValueError("no usable sequences after filtering; lower the thresholds")
     seq_hash = write_sequences(artifact(cfg, "sequences"), sequences)
-    artifact(cfg, "locations").write_text(stable_json(index.to_dict()) + "\n", encoding="utf-8")
+    write_atomic(artifact(cfg, "locations"), stable_json(index.to_dict()) + "\n")
     extra = {"dataset": cfg.name, "index_hash": index.content_hash()}
     conventional = split_conventional(sequences, records=records)
     print(f"locations: {len(index)}  visits: {len(records)}  sequences: {len(sequences)}")
@@ -184,17 +169,17 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
 
 def _pretrain_calliper(cfg: ExperimentConfig) -> None:
     pois = read_poi_file(cfg.pois_path)
-    text_embedder = HashedNgramEmbedder(TEXT_HASH_DIM)
+    text_embedder = HashedNgramEmbedder()
     # held-out locations must stay unseen during contrastive pretraining, so
     # each inductive split gets its own encoder without their POIs; the
     # conventional encoder sees every POI and reads no sequence store
     if cfg.split_mode == "conventional":
-        manifests = {None: None}
+        splits = {None: None}
     else:
         sequences, seq_hash, _ = _load_store(cfg)
-        manifests = {seed: manifest for seed, (_, manifest) in _load_splits(cfg, sequences, seq_hash).items()}
-    for split_seed, manifest in manifests.items():
-        l_new = set(manifest["l_new"]) if manifest else set()
+        splits = _load_splits(cfg, sequences, seq_hash)
+    for split_seed, split in splits.items():
+        l_new = split.l_new if split else frozenset()
         corpus = [p for p in pois if p.id not in l_new]
         model = CaLLiPerModel(
             cfg.grid,
@@ -206,13 +191,11 @@ def _pretrain_calliper(cfg: ExperimentConfig) -> None:
         history = model.pretrain(corpus, cfg.pretrain)
         path = artifact(cfg, "calliper", split_seed, ".nlck")
         meta = {"n_pois": len(corpus), "split_seed": split_seed}
-        if manifest:
-            meta["manifest_digest"] = manifest["manifest_digest"]
+        if split:
+            meta["manifest_digest"] = split.digest
         model.save(path, extra_meta=meta)
-        _write_json(
-            path.with_suffix(".log.json"),
-            {"epoch_losses": history["epoch_losses"], "n_pois": len(corpus)},
-        )
+        log = {"epoch_losses": history["epoch_losses"], "n_pois": len(corpus)}
+        write_atomic(path.with_suffix(".log.json"), stable_json(log) + "\n")
         losses = history["epoch_losses"]
         tag = f"{seeded('calliper', split_seed)}: {len(l_new)} POIs held out"
         print(f"{tag}, loss {losses[0]:.4f} -> {losses[-1]:.4f}, saved {path}")
@@ -220,7 +203,7 @@ def _pretrain_calliper(cfg: ExperimentConfig) -> None:
 
 def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
     sequences, seq_hash, index = _load_store(cfg)
-    for split_seed, (split, manifest) in _load_splits(cfg, sequences, seq_hash).items():
+    for split_seed, split in _load_splits(cfg, sequences, seq_hash).items():
         table, history = skipgram_pretrain(
             split.train,
             index,
@@ -236,28 +219,27 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
                 "kind": "skipgram-table",
                 "dim": cfg.pretrain.embed_dim,
                 "index_hash": index.content_hash(),
-                "manifest_digest": manifest["manifest_digest"],
+                "manifest_digest": split.digest,
             },
         )
-        _write_json(
-            path.with_suffix(".log.json"),
-            {"epoch_losses": history["epoch_losses"], "n_pairs": history["n_pairs"]},
-        )
+        log = {"epoch_losses": history["epoch_losses"], "n_pairs": history["n_pairs"]}
+        write_atomic(path.with_suffix(".log.json"), stable_json(log) + "\n")
         print(f"{seeded('skipgram', split_seed)}: {history['n_pairs']} pairs, saved {path}")
+
+
+# the kinds with a pretraining stage, each with its stage
+PRETRAIN = {"calliper-encoder": _pretrain_calliper, "skipgram-table": _pretrain_skipgram}
 
 
 def cmd_pretrain(cfg: ExperimentConfig, kind: str | None = None) -> int:
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    kinds = [kind] if kind else [k for k in cfg.embedder_kinds if k != "lookup-table"]
-    for k in kinds:
-        if k == "calliper-encoder":
-            _pretrain_calliper(cfg)
-        elif k == "skipgram-table":
-            _pretrain_skipgram(cfg)
-        elif k == "lookup-table":
-            print("lookup-table embeddings are learned jointly with the predictor; nothing to pretrain")
-        else:
+    if kind == "lookup-table":
+        print("lookup-table embeddings are learned jointly with the predictor; nothing to pretrain")
+        return 0
+    for k in [kind] if kind else [k for k in cfg.embedder_kinds if k in PRETRAIN]:
+        if k not in PRETRAIN:
             raise ValueError(f"unknown embedder kind {k!r}")
+        PRETRAIN[k](cfg)
     return 0
 
 
@@ -265,14 +247,17 @@ def cmd_pretrain(cfg: ExperimentConfig, kind: str | None = None) -> int:
 # train
 
 
-def _build_embedder(cfg, kind: str, index: LocationIndex, split_seed: int | None, manifest: dict, run_seed: int):
+def _location_matrix(cfg, kind: str, index: LocationIndex, split: DatasetSplit, run_seed: int) -> np.ndarray:
+    """The (|L|, d) location embeddings a run of `kind` on `split` starts from."""
     if kind == "lookup-table":
-        return VanillaE2EEmbedder(dim=cfg.pretrain.embed_dim, seed=run_seed)
-    if kind == "calliper-encoder":
-        return CalliperEmbedder(_load_calliper(cfg, split_seed, manifest))
-    if kind == "skipgram-table":
-        return SkipgramEmbedder(_load_skipgram(cfg, index, split_seed, manifest))
-    raise ValueError(f"unknown embedder kind {kind!r}")
+        embedder = VanillaE2EEmbedder(dim=cfg.pretrain.embed_dim, seed=run_seed)
+    elif kind == "calliper-encoder":
+        embedder = CalliperEmbedder(_load_calliper(cfg, split))
+    elif kind == "skipgram-table":
+        embedder = SkipgramEmbedder(_load_skipgram(cfg, index, split))
+    else:
+        raise ValueError(f"unknown embedder kind {kind!r}")
+    return embedder.embedding_matrix(index)
 
 
 def _cap_train(split: DatasetSplit, cap: int, seed: int) -> DatasetSplit:
@@ -289,12 +274,10 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
     kinds = [kind] if kind else list(cfg.embedder_kinds)
     for k in kinds:
         for seed in cfg.seeds:
-            split_seed = split_seed_of(cfg, seed)
-            split, manifest = splits[split_seed]
-            split = _cap_train(split, cfg.max_train_sequences, seed)
-            embedder = _build_embedder(cfg, k, index, split_seed, manifest, seed)
+            split = _cap_train(splits[split_seed_of(cfg, seed)], cfg.max_train_sequences, seed)
+            matrix = _location_matrix(cfg, k, index, split, seed)
             users = sorted({s.user for s in split.train})
-            model = NextLocPredictor(index, users, embedder, cfg.predictor, seed=seed)
+            model = NextLocPredictor(index, users, matrix, k, cfg.predictor, seed=seed)
             history = model.train(
                 split,
                 epochs=cfg.train_epochs,
@@ -307,12 +290,12 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
                 path,
                 extra_meta={
                     "train_seed": seed,
-                    "manifest_digest": manifest["manifest_digest"],
+                    "manifest_digest": split.digest,
                     "dataset": cfg.name,
                 },
             )
             log_lines = [stable_json(rec) for rec in history["log"]]
-            path.with_suffix(".log.ndjson").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+            write_atomic(path.with_suffix(".log.ndjson"), "\n".join(log_lines) + "\n")
             print(
                 f"{k} seed {seed}: {history['epochs_run']} epochs, "
                 f"best val loss {history['best_val_loss']:.4f}, saved {path}"
@@ -324,12 +307,10 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
 # evaluate
 
 
-def _test_ranks(
-    cfg, index, split: DatasetSplit, manifest: dict, kind: str, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _test_ranks(cfg, index, split: DatasetSplit, kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-test ranks plus the mask of samples whose target is held out."""
     path = _existing(artifact(cfg, f"predictor_{kind}", seed, ".nlck"), "train")
-    model = NextLocPredictor.load(path, index, manifest_digest=manifest["manifest_digest"])
+    model = NextLocPredictor.load(path, index, manifest_digest=split.digest)
     probs = model.predict_proba(split.test, batch_size=cfg.train_batch_size)
     targets = np.array([index.class_of(s.target_location) for s in split.test])
     ranks = ranks_from_scores(probs, targets)
@@ -342,10 +323,10 @@ def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
     splits = _load_splits(cfg, sequences, seq_hash)
     kinds = [kind] if kind else list(cfg.embedder_kinds)
     provenance = {"sequences_hash": seq_hash, "index_hash": index.content_hash()}
-    for split_seed, (_, manifest) in splits.items():
-        provenance[seeded("manifest_digest", split_seed)] = manifest["manifest_digest"]
+    for split_seed, split in splits.items():
+        provenance[seeded("manifest_digest", split_seed)] = split.digest
     ranks = {
-        (k, seed): _test_ranks(cfg, index, *splits[split_seed_of(cfg, seed)], k, seed)
+        (k, seed): _test_ranks(cfg, index, splits[split_seed_of(cfg, seed)], k, seed)
         for k in kinds
         for seed in cfg.seeds
     }
@@ -366,18 +347,18 @@ def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
         for subset, (rank_fn, suffix, note) in subsets.items():
             report = run_experiment(partial(rank_fn, k), cfg.seeds, split_mode=cfg.split_mode, embedder_kind=k)
             reports[subset][k] = report
-            artifact(cfg, f"report_{k}_{cfg.split_mode}{suffix}", suffix=".txt").write_text(
-                format_report(report, dataset=cfg.name, provenance={**provenance, **note}), encoding="utf-8"
+            write_atomic(
+                artifact(cfg, f"report_{k}_{cfg.split_mode}{suffix}", suffix=".txt"),
+                format_report(report, dataset=cfg.name, provenance={**provenance, **note}),
             )
             metrics_payload["kinds"].setdefault(k, {})[subset] = {
                 name: [float(v) for v in report.per_run(name)] for name in METRIC_NAMES
             }
-    _write_json(artifact(cfg, f"metrics_{cfg.split_mode}"), metrics_payload)
+    write_atomic(artifact(cfg, f"metrics_{cfg.split_mode}"), stable_json(metrics_payload) + "\n")
     if len(kinds) > 1:
         for subset, (_, suffix, _) in subsets.items():
-            artifact(cfg, f"comparison_{cfg.split_mode}{suffix}", suffix=".txt").write_text(
-                format_comparison(reports[subset]), encoding="utf-8"
-            )
+            comparison = artifact(cfg, f"comparison_{cfg.split_mode}{suffix}", suffix=".txt")
+            write_atomic(comparison, format_comparison(reports[subset]))
 
     for k in kinds:
         print(f"{k}: " + "  | ".join(
@@ -393,17 +374,16 @@ def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
 
 
 def cmd_visualize(cfg: ExperimentConfig, kind: str) -> int:
-    if kind not in ("calliper-encoder", "skipgram-table"):
-        raise ValueError("visualize supports the pretrained kinds: calliper-encoder, skipgram-table")
+    if kind not in PRETRAIN:
+        raise ValueError(f"visualize supports the pretrained kinds: {', '.join(PRETRAIN)}")
     cfg = replace(cfg, seeds=cfg.seeds[:1])  # one projection, of the first seed's split
     sequences, seq_hash, index = _load_store(cfg)
-    for split_seed, (_, manifest) in _load_splits(cfg, sequences, seq_hash).items():
-        matrix = _build_embedder(cfg, kind, index, split_seed, manifest, cfg.seeds[0]).embedding_matrix(index)
-        l_new = set(manifest["l_new"])
-        proj = project_2d(matrix, ["new" if i in l_new else "seen" for i in index.ids()])
+    for split_seed, split in _load_splits(cfg, sequences, seq_hash).items():
+        matrix = _location_matrix(cfg, kind, index, split, cfg.seeds[0])
+        proj = project_2d(matrix, ["new" if i in split.l_new else "seen" for i in index.ids()])
         svg_file = artifact(cfg, f"projection_{kind}_{cfg.split_mode}", split_seed, ".svg")
-        svg_file.write_text(projection_svg(proj), encoding="utf-8")
-        svg_file.with_suffix(".txt").write_text(projection_coords_text(proj), encoding="utf-8")
+        write_atomic(svg_file, projection_svg(proj))
+        write_atomic(svg_file.with_suffix(".txt"), projection_coords_text(proj))
         share = proj.explained_variance.sum() / proj.total_variance if proj.total_variance > 0 else 1.0
         print(f"projection of {len(matrix)} embeddings ({100 * share:.1f}% variance) -> {svg_file}")
     return 0
@@ -475,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("evaluate", help="score trained predictors and write reports"), with_kind=True)
     pv = sub.add_parser("visualize", help="project location embeddings to 2-D")
     _add_common(pv)
-    pv.add_argument("--kind", choices=("calliper-encoder", "skipgram-table"), default="calliper-encoder")
+    pv.add_argument("--kind", choices=tuple(PRETRAIN), default="calliper-encoder")
 
     return parser
 

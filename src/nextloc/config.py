@@ -15,7 +15,7 @@ from pathlib import Path
 from nextloc.calliper import PretrainConfig
 from nextloc.geoenc import GridSpec
 from nextloc.predictor import PredictorConfig
-from nextloc.util import stable_json
+from nextloc.util import stable_json, write_atomic
 
 EMBEDDER_KINDS = ("calliper-encoder", "lookup-table", "skipgram-table")
 
@@ -89,8 +89,25 @@ class ExperimentConfig:
             raise FileNotFoundError("missing input file(s): " + ", ".join(missing))
 
 
+# what a JSON value must be for each field annotation; nested sections are checked by their own call
+_TYPE_NAMES = {
+    "int": "an integer",
+    "float": "a number",
+    "str": "a string",
+    "tuple[int, ...]": "a list of integers",
+    "tuple[str, ...]": "a list of strings",
+}
+
+
+def _fits(value, type_name: str) -> bool:
+    """Whether a JSON value fits a field annotated `type_name`; a bool is not a number."""
+    if type_name.startswith("tuple["):
+        return isinstance(value, (list, tuple)) and all(_fits(v, type_name[6:-6]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, {"int": int, "float": (int, float), "str": str}[type_name])
+
+
 def _exact_keys(cls, d, prefix: str = "") -> dict:
-    """A copy of `d`, whose keys must be exactly the fields of `cls`.
+    """A copy of `d`, whose keys must be exactly the fields of `cls`, each value of its field's type.
 
     A key the config no longer has is refused rather than ignored, so an old
     file cannot run with a value other than the one it names.
@@ -100,13 +117,18 @@ def _exact_keys(cls, d, prefix: str = "") -> dict:
     names = {f.name for f in fields(cls)}
     problems = [f"unknown key {prefix + k!r}" for k in sorted(set(d) - names)]
     problems += [f"missing key {prefix + k!r}" for k in sorted(names - set(d))]
+    problems += [
+        f"key {prefix + f.name!r} must be {_TYPE_NAMES[f.type]}, got {d[f.name]!r}"
+        for f in fields(cls)
+        if f.name in d and f.type in _TYPE_NAMES and not _fits(d[f.name], f.type)
+    ]
     if problems:
         raise ValueError("config: " + ", ".join(problems))
     return dict(d)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(stable_json(cfg.to_dict()) + "\n", encoding="utf-8")
+    write_atomic(path, stable_json(cfg.to_dict()) + "\n")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -6,7 +6,6 @@ from nextloc.mobdata.model import (
     LocationIndex,
     MobilitySequence,
     VisitRecord,
-    sequence_id,
 )
 from nextloc.mobdata.ingest import filter_min_counts, load_checkins
 from nextloc.mobdata.sequences import (
@@ -37,7 +36,6 @@ __all__ = [
     "load_checkins",
     "read_sequences",
     "read_split_manifest",
-    "sequence_id",
     "split_conventional",
     "split_inductive",
     "split_manifest",

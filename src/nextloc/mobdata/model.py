@@ -89,12 +89,6 @@ class LocationIndex:
         return sha256_text(stable_json(self.to_dict()))
 
 
-def sequence_id(user: str, visits: list[tuple[str, int]], target_location: str, target_t: int) -> str:
-    """Content-addressed id, so manifests can replay a split exactly."""
-    body = stable_json([user, [[l, t] for l, t in visits], target_location, target_t])
-    return sha256_text(body)[:16]
-
-
 @dataclass(frozen=True)
 class MobilitySequence:
     user: str
@@ -113,7 +107,9 @@ class MobilitySequence:
 
     @cached_property
     def id(self) -> str:
-        return sequence_id(self.user, list(self.visits), self.target_location, self.target_t)
+        """Content-addressed id, so manifests can replay a split exactly."""
+        body = stable_json([self.user, [[l, t] for l, t in self.visits], self.target_location, self.target_t])
+        return sha256_text(body)[:16]
 
     def location_ids(self) -> set[str]:
         return {l for l, _ in self.visits} | {self.target_location}
@@ -144,6 +140,7 @@ class DatasetSplit:
     mode: str  # "conventional" | "inductive"
     l_new: frozenset[str] = field(default_factory=frozenset)
     seed: int | None = None
+    digest: str | None = None  # manifest digest of a split rebuilt from its manifest
 
     def __post_init__(self):
         if self.mode not in ("conventional", "inductive"):

@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 
 from nextloc.mobdata.model import DatasetSplit, MobilitySequence, VisitRecord
-from nextloc.util import make_rng, sha256_text, stable_json
+from nextloc.util import make_rng, sha256_text, stable_json, write_atomic
 
 WINDOW_SECONDS = 7 * 86400
 DAY_SECONDS = 86400
@@ -49,31 +49,23 @@ def build_sequences(
 def split_conventional(
     sequences: list[MobilitySequence],
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    records: list[VisitRecord] | None = None,
+    *,
+    records: list[VisitRecord],
 ) -> DatasetSplit:
     """Per-user time partition of tracking days at the given ratios.
 
     A sequence lands in train/validation/test by its target's day index
-    within the user's tracking period (first to last record when records
-    are given; otherwise first context visit to last target). Intervals are
-    half-open, so a target on a boundary day goes to the later split.
+    within the user's tracking period (first to last of their records).
+    Intervals are half-open, so a target on a boundary day goes to the
+    later split.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
     spans: dict[str, list[int]] = {}
-
-    def stretch(user: str, t: int) -> None:
-        span = spans.setdefault(user, [t, t])
-        span[0] = min(span[0], t)
-        span[1] = max(span[1], t)
-
-    if records is not None:
-        for r in records:
-            stretch(r.user, r.t)
-    else:
-        for seq in sequences:
-            stretch(seq.user, seq.visits[0][1])
-            stretch(seq.user, seq.target_t)
+    for r in records:
+        span = spans.setdefault(r.user, [r.t, r.t])
+        span[0] = min(span[0], r.t)
+        span[1] = max(span[1], r.t)
     buckets: tuple[list, list, list] = ([], [], [])
     for seq in sequences:
         first, last = spans[seq.user]
@@ -127,7 +119,7 @@ def split_inductive(conventional: DatasetSplit, fraction: float = 0.1, seed: int
 def write_sequences(path, sequences: list[MobilitySequence]) -> str:
     """Write the sequence store; returns its content hash."""
     body = stable_json({"sequences": [s.to_dict() for s in sequences]})
-    Path(path).write_text(body, encoding="utf-8")
+    write_atomic(path, body)
     return sha256_text(body)
 
 
@@ -155,7 +147,7 @@ def split_manifest(split: DatasetSplit, source_hash: str, extra: dict | None = N
 
 def write_split_manifest(path, split: DatasetSplit, source_hash: str, extra: dict | None = None) -> dict:
     manifest = split_manifest(split, source_hash, extra)
-    Path(path).write_text(stable_json(manifest), encoding="utf-8")
+    write_atomic(path, stable_json(manifest))
     return manifest
 
 
@@ -167,11 +159,9 @@ def read_split_manifest(path) -> dict:
     return manifest
 
 
-def apply_split_manifest(
-    sequences: list[MobilitySequence], manifest: dict, source_hash: str | None = None
-) -> DatasetSplit:
-    """Rebuild the exact split a manifest describes from the sequence store."""
-    if source_hash is not None and manifest["source_hash"] != source_hash:
+def apply_split_manifest(sequences: list[MobilitySequence], manifest: dict, source_hash: str) -> DatasetSplit:
+    """Rebuild the exact split a manifest describes from the sequence store, carrying its digest."""
+    if manifest["source_hash"] != source_hash:
         raise ValueError("manifest refers to a different sequence store")
     by_id = {s.id: s for s in sequences}
     missing = [i for part in ("train", "validation", "test") for i in manifest[part] if i not in by_id]
@@ -184,4 +174,5 @@ def apply_split_manifest(
         mode=manifest["mode"],
         l_new=frozenset(manifest["l_new"]),
         seed=manifest["seed"],
+        digest=manifest["manifest_digest"],
     )

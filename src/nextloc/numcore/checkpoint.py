@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from nextloc.util import write_atomic
+
 MAGIC = b"NLCK"
 VERSION = 3
 PREFIX = 48  # magic, version, digest and header length
@@ -43,10 +45,14 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = Non
     header = json.dumps({"meta": meta or {}, "params": entries}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     lead = MAGIC + VERSION.to_bytes(4, "little")
     body = len(header).to_bytes(8, "little") + header + b"".join(blobs)
-    Path(path).write_bytes(lead + hashlib.sha256(lead + body).digest() + body)
+    write_atomic(path, lead + hashlib.sha256(lead + body).digest() + body)
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(
+    path, kind: str | None = None, index_hash: str | None = None, manifest_digest: str | None = None
+) -> tuple[dict[str, np.ndarray], dict]:
+    """Parameters and meta of a checkpoint, refused unless its meta names `kind`, the
+    location index `index_hash` and the split `manifest_digest` (None: no check)."""
     raw = Path(path).read_bytes()
     if len(raw) < PREFIX or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a parameter checkpoint (bad magic)")
@@ -75,10 +81,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    return params, header.get("meta", {})
-
-
-def check_split(path, meta: dict, manifest_digest: str | None) -> None:
-    """Refuse a checkpoint trained on another split than the manifest digest names (None: no check)."""
+    meta = header.get("meta", {})
+    if kind is not None and meta.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} checkpoint (kind={meta.get('kind')!r})")
+    if index_hash is not None and meta.get("index_hash") != index_hash:
+        raise ValueError(f"{path}: trained against a different location index")
     if manifest_digest is not None and meta.get("manifest_digest") != manifest_digest:
         raise ValueError(f"{path}: trained on a different split (manifest digest mismatch); rerun its stage")
+    return params, meta

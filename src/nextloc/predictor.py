@@ -8,9 +8,10 @@ softmax over every class in the LocationIndex. Trained with cross-entropy
 and early stopping on validation loss; the best-validation parameters are
 restored at the end.
 
-Location embeddings come from a pluggable source: frozen sources (skip-gram
-tables, coordinate encoders) enter as constants and receive no gradients;
-the trainable lookup table is registered as a parameter and learned jointly.
+Location embeddings arrive as an (|L|, d) matrix with the kind that made it:
+a pretrained matrix (skip-gram table, coordinate encoder) enters as a
+constant and receives no gradients; the lookup table's initial matrix is
+registered as a parameter and learned jointly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from nextloc.baselines import SkipgramEmbedder, VanillaE2EEmbedder
 from nextloc.mobdata.model import DatasetSplit, LocationIndex, MobilitySequence
 from nextloc.numcore import (
     AdamState,
@@ -40,7 +40,7 @@ from nextloc.numcore import (
     reshape,
     softmax,
 )
-from nextloc.numcore.checkpoint import check_split, load_checkpoint, save_checkpoint
+from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
 from nextloc.util import make_rng
 
 UNKNOWN_USER = "<unknown>"
@@ -107,20 +107,21 @@ class NextLocPredictor:
         self,
         index: LocationIndex,
         users: list[str],
-        embedder,
+        loc_matrix: np.ndarray,
+        kind: str,
         cfg: PredictorConfig,
         seed: int = 0,
     ):
         self.index = index
         self.cfg = cfg
-        self.embedder_kind = embedder.kind
-        self.embedder_frozen = bool(embedder.frozen)
+        self.embedder_kind = kind
+        self.embedder_frozen = kind != "lookup-table"  # only the lookup table trains its rows
         self.users = sorted(set(users))
         self._user_row = {u: i for i, u in enumerate(self.users)}
         self.store = ParameterStore()
         rng = make_rng(seed, "predictor-init")
 
-        matrix = np.asarray(embedder.embedding_matrix(index), dtype=np.float64)
+        matrix = np.asarray(loc_matrix, dtype=np.float64)
         if matrix.shape[0] != len(index):
             raise ValueError(f"embedding matrix rows {matrix.shape[0]} != |index| {len(index)}")
         self.emb_dim = matrix.shape[1]
@@ -317,19 +318,8 @@ class NextLocPredictor:
 
     @classmethod
     def load(cls, path, index: LocationIndex, manifest_digest: str | None = None) -> "NextLocPredictor":
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != "predictor":
-            raise ValueError(f"{path}: not a predictor checkpoint")
-        if meta["index_hash"] != index.content_hash():
-            raise ValueError(f"{path}: checkpoint was trained against a different location index")
-        check_split(path, meta, manifest_digest)
-        cfg = PredictorConfig.from_dict(meta["config"])
-        # rebuild around the saved table: a frozen one as saved, a trainable one from an init the state replaces
-        if meta["embedder_frozen"]:
-            embedder = SkipgramEmbedder(params.pop("frozen.loc_matrix"))
-        else:
-            embedder = VanillaE2EEmbedder(dim=params["loc_table"].shape[1])
-        model = cls(index, meta["users"], embedder, cfg)
-        model.embedder_kind = meta["embedder_kind"]
+        params, meta = load_checkpoint(path, "predictor", index.content_hash(), manifest_digest)
+        matrix = params.pop("frozen.loc_matrix") if meta["embedder_frozen"] else params["loc_table"]
+        model = cls(index, meta["users"], matrix, meta["embedder_kind"], PredictorConfig.from_dict(meta["config"]))
         model.store.load_state_dict(params)
         return model

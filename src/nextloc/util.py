@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, canonical JSON, content hashes.
+"""Small shared helpers: seed derivation, canonical JSON, content hashes, atomic writes.
 
 All randomness in the package flows from explicit integer seeds. Sub-seeds
 for independent purposes (init, shuffling, split sampling, ...) are derived
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -31,12 +33,8 @@ def stable_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_text(text: str) -> str:
-    return sha256_bytes(text.encode())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def sha256_file(path) -> str:
@@ -45,3 +43,16 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write `data` (text as UTF-8) to `path` through a temporary file in the same
+    directory, so a reader finds the old file or the new one, never part of one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -187,13 +187,6 @@ def test_criterion_3_gradient_integrity(verdict):
         [Location(id=f"L{i}", semantics=f"place {i}", centroid=GeoPoint(float(i), float(-i))) for i in range(4)]
     )
 
-    class _TinyEmbedder:
-        kind = "lookup-table"
-        frozen = False
-
-        def embedding_matrix(self, idx):
-            return make_rng(5, "tiny-emb").standard_normal((len(idx), 6))
-
     cfg = PredictorConfig(
         layers=2, heads=2, ff_dim=16, dropout=0.0, d_model=16,
         max_context=4, time_dim=4, dow_dim=4, user_dim=4,
@@ -204,7 +197,8 @@ def test_criterion_3_gradient_integrity(verdict):
         visits = tuple((lid, t0_s + i * HOUR) for i, lid in enumerate(ids))
         return MobilitySequence(user=user, visits=visits, target_location=target, target_t=t0_s + len(ids) * HOUR)
 
-    model = NextLocPredictor(index, ["u1", "u2"], _TinyEmbedder(), cfg, seed=3)
+    table = make_rng(5, "tiny-emb").standard_normal((len(index), 6))
+    model = NextLocPredictor(index, ["u1", "u2"], table, "lookup-table", cfg, seed=3)
     batch = [
         _seq("u1", ["L0", "L1", "L2"], "L3", 100_000),
         _seq("u2", ["L3", "L1"], "L0", 200_000),

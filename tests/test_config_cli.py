@@ -16,6 +16,8 @@ from nextloc.config import (
     make_preset,
     save_config,
 )
+from nextloc.mobdata import MobilitySequence, write_sequences
+from nextloc.numcore import save_checkpoint
 
 # ----------------------------------------------------------------------
 # config
@@ -118,6 +120,49 @@ def test_non_finite_float_setting_is_refused(tmp_path, capsys, key, value):
         load_config(path)
     assert main(["preprocess", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train_epochs", "3"),
+        ("train_epochs", True),
+        ("seeds", 3),
+        ("train_epochs", 1.5),
+        ("max_train_sequences", 2.5),
+        ("embedder_kinds", "lookup-table"),
+        ("pretrain.batch_size", "64"),
+    ],
+)
+def test_setting_of_the_wrong_type_is_refused(tmp_path, capsys, key, value):
+    path = write_edited_config(tmp_path, key, value)
+    assert main(["preprocess", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"key {key!r} must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("writer", ["checkpoint", "sequences", "config"])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "artifact"
+    write = {
+        "checkpoint": lambda v: save_checkpoint(path, {"w": np.full(64, float(v))}),
+        "sequences": lambda v: write_sequences(path, [MobilitySequence(f"u{v}", (("L0", 0),), "L1", 60)] * 64),
+        "config": lambda v: save_config(make_preset("synthetic-desk", f"c{v}.csv", "p.csv", "out"), path),
+    }[writer]
+    write(1)
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def fail_half_way(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_half_way)
+    with pytest.raises(OSError, match="no space left"):
+        write(2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_presets_carry_published_settings():

@@ -242,7 +242,7 @@ def test_conventional_single_day_all_train():
 
 def test_conventional_rejects_bad_ratios():
     with pytest.raises(ValueError):
-        split_conventional([], ratios=(0.5, 0.2, 0.2))
+        split_conventional([], ratios=(0.5, 0.2, 0.2), records=[])
 
 
 def test_inductive_removes_lnew_from_train_and_val():
@@ -322,6 +322,7 @@ def test_manifest_round_trip(tmp_path):
     assert [s.id for s in replay.test] == [s.id for s in ind.test]
     assert replay.l_new == ind.l_new
     assert replay.seed == 3
+    assert replay.digest == manifest["manifest_digest"]
 
 
 def test_manifest_detects_tampering(tmp_path):

@@ -474,6 +474,22 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_load_checks_kind_index_and_split(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)}, meta={"kind": "predictor", "index_hash": "i1", "manifest_digest": "m1"})
+    for kwargs, message in [
+        ({"kind": "calliper"}, "not a calliper checkpoint"),
+        ({"index_hash": "i2"}, "different location index"),
+        ({"manifest_digest": "m2"}, "trained on a different split"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path, **kwargs)
+    params, meta = load_checkpoint(path, kind=None, index_hash=None, manifest_digest=None)
+    assert meta["kind"] == "predictor"
+    params, _ = load_checkpoint(path, kind="predictor", index_hash="i1", manifest_digest="m1")
+    np.testing.assert_array_equal(params["w"], np.ones(2))
+
+
 # ---------------------------------------------------------------------------
 # parameter store
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc.baselines import SkipgramEmbedder, VanillaE2EEmbedder
+from nextloc.baselines import VanillaE2EEmbedder
 from nextloc.geoenc import GeoPoint
 from nextloc.mobdata.model import DatasetSplit, Location, LocationIndex, MobilitySequence
 from nextloc.numcore import cross_entropy, finite_difference_check
@@ -51,9 +51,16 @@ def tiny_config(**overrides) -> PredictorConfig:
 
 
 def make_predictor(n_locs: int = 4, users=("u1", "u2"), cfg=None, dim: int = 8, seed: int = 0):
+    """A lookup-table predictor, its table initialized as the pipeline does it."""
     index = make_index(n_locs)
-    emb = VanillaE2EEmbedder(dim=dim, seed=seed)
-    return NextLocPredictor(index, list(users), emb, cfg or tiny_config(), seed=seed)
+    matrix = VanillaE2EEmbedder(dim=dim, seed=seed).embedding_matrix(index)
+    return NextLocPredictor(index, list(users), matrix, "lookup-table", cfg or tiny_config(), seed=seed)
+
+
+def frozen_predictor(kind: str = "skipgram-table", seed: int = 1) -> NextLocPredictor:
+    """A predictor over three locations whose pretrained matrix of `kind` is frozen."""
+    matrix = make_rng(seed, "t").standard_normal((3, 8))
+    return NextLocPredictor(make_index(3), ["u1"], matrix, kind, tiny_config(), seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +203,7 @@ def test_training_encodes_each_split_once(monkeypatch):
 
     monkeypatch.setattr(NextLocPredictor, "_featurize", counting)
     split = alternation_split()
-    model = NextLocPredictor(make_index(2), ["u0", "u1"], VanillaE2EEmbedder(dim=8), tiny_config(), seed=0)
+    model = make_predictor(n_locs=2, users=("u0", "u1"))
     history = model.train(split, epochs=3, patience=3, batch_size=16, seed=0)
     assert history["epochs_run"] == 3
     assert encoded == [len(split.train), len(split.validation)]
@@ -256,9 +263,8 @@ def alternation_split(n_train: int = 48, n_val: int = 12, n_test: int = 12):
 
 def test_training_learns_deterministic_alternation():
     split = alternation_split()
-    index = make_index(2)
-    emb = VanillaE2EEmbedder(dim=8, seed=0)
-    model = NextLocPredictor(index, [f"u{i}" for i in range(4)], emb, tiny_config(), seed=0)
+    model = make_predictor(n_locs=2, users=[f"u{i}" for i in range(4)])
+    index = model.index
     history = model.train(split, epochs=60, patience=6, batch_size=16, learning_rate=0.003, seed=0)
     assert history["epochs_run"] >= 1
     assert history["log"][0]["train_loss"] > history["best_val_loss"]
@@ -285,9 +291,7 @@ def test_training_rejects_empty_splits():
 
 
 def test_frozen_embedding_matrix_untouched_by_training():
-    index = make_index(3)
-    emb = SkipgramEmbedder(make_rng(1, "t").standard_normal((3, 8)))
-    model = NextLocPredictor(index, ["u1"], emb, tiny_config(), seed=0)
+    model = frozen_predictor()
     before = model.loc_matrix.tobytes()
     split = DatasetSplit(
         train=[seq("u1", ["L0", "L1"], "L2", t0=i * 50 * HOUR) for i in range(8)],
@@ -302,9 +306,7 @@ def test_frozen_embedding_matrix_untouched_by_training():
 
 def test_training_refuses_changed_frozen_embeddings(monkeypatch):
     # an explicit check, not an assert, so `python -O` keeps it
-    index = make_index(3)
-    emb = SkipgramEmbedder(make_rng(1, "t").standard_normal((3, 8)))
-    model = NextLocPredictor(index, ["u1"], emb, tiny_config(), seed=0)
+    model = frozen_predictor()
     validation_loss = model._epoch_loss
 
     def perturbing_epoch_loss(sequences, batch_size):
@@ -325,9 +327,7 @@ def test_training_refuses_changed_frozen_embeddings(monkeypatch):
 def test_trainable_table_rows_for_absent_locations_stay_at_init():
     # class 0 is also used for padding, so the never-visited location must
     # sit at a nonzero class index
-    index = make_index(4)
-    emb = VanillaE2EEmbedder(dim=8, seed=0)
-    model = NextLocPredictor(index, ["u1", "u2"], emb, tiny_config(), seed=0)
+    model = make_predictor(n_locs=4)
     init_rows = model.store["loc_table"].data.copy()
     split = DatasetSplit(
         train=[seq(f"u{1 + i % 2}", ["L0", "L1"], "L2", t0=i * 50 * HOUR) for i in range(12)],
@@ -358,17 +358,17 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_round_trip_frozen(tmp_path):
-    index = make_index(3)
-    table = make_rng(2, "t").standard_normal((3, 8))
-    model = NextLocPredictor(index, ["u1"], SkipgramEmbedder(table), tiny_config(), seed=0)
     s = seq("u1", ["L0", "L1"], "L2")
-    before = model.predict_proba([s])[0]
-    path = tmp_path / "predictor.nlck"
-    model.save(path)
-    restored = NextLocPredictor.load(path, make_index(3))
-    assert restored.embedder_frozen
-    np.testing.assert_array_equal(restored.loc_matrix, model.loc_matrix)
-    np.testing.assert_array_equal(restored.predict_proba([s])[0], before)
+    for kind in ("skipgram-table", "calliper-encoder"):
+        model = frozen_predictor(kind, seed=2)
+        before = model.predict_proba([s])[0]
+        path = tmp_path / f"predictor_{kind}.nlck"
+        model.save(path)
+        restored = NextLocPredictor.load(path, make_index(3))
+        assert restored.embedder_kind == kind
+        assert restored.embedder_frozen and "loc_table" not in restored.store.names()
+        np.testing.assert_array_equal(restored.loc_matrix, model.loc_matrix)
+        np.testing.assert_array_equal(restored.predict_proba([s])[0], before)
 
 
 def test_load_rejects_index_mismatch(tmp_path):
