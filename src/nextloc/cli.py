@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -307,15 +306,19 @@ def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
 # evaluate
 
 
-def _test_ranks(cfg, index, split: DatasetSplit, kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-test ranks plus the mask of samples whose target is held out."""
+def _test_ranks(cfg, index, split: DatasetSplit, kind: str, seed: int) -> dict[str, np.ndarray]:
+    """Test ranks by subset: "full", plus "lnew" (targets in held-out locations) in the inductive protocol."""
     path = _existing(artifact(cfg, f"predictor_{kind}", seed, ".nlck"), "train")
     model = NextLocPredictor.load(path, index, manifest_digest=split.digest)
     probs = model.predict_proba(split.test, batch_size=cfg.train_batch_size)
     targets = np.array([index.class_of(s.target_location) for s in split.test])
-    ranks = ranks_from_scores(probs, targets)
-    lnew_mask = np.array([s.target_location in split.l_new for s in split.test], dtype=bool)
-    return ranks, lnew_mask
+    ranks = {"full": ranks_from_scores(probs, targets)}
+    if cfg.split_mode == "inductive":
+        lnew = np.array([s.target_location in split.l_new for s in split.test], dtype=bool)
+        if not lnew.any():
+            raise ValueError(f"split seed {seed} has no test samples targeting held-out locations")
+        ranks["lnew"] = ranks["full"][lnew]
+    return ranks
 
 
 def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
@@ -325,40 +328,36 @@ def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
     provenance = {"sequences_hash": seq_hash, "index_hash": index.content_hash()}
     for split_seed, split in splits.items():
         provenance[seeded("manifest_digest", split_seed)] = split.digest
+    # every run is ranked before anything is written, so a refused run leaves no report
     ranks = {
         (k, seed): _test_ranks(cfg, index, splits[split_seed_of(cfg, seed)], k, seed)
         for k in kinds
         for seed in cfg.seeds
     }
-
-    def lnew_ranks(k: str, seed: int) -> np.ndarray:
-        full, mask = ranks[(k, seed)]
-        if not mask.any():
-            raise ValueError(f"split seed {seed} has no test samples targeting held-out locations")
-        return full[mask]
-
-    # the inductive protocol also reports the test samples whose target was held out
-    subsets = {"full": (lambda k, seed: ranks[(k, seed)][0], "", {})}
-    if cfg.split_mode == "inductive":
-        subsets["lnew"] = (lnew_ranks, "_lnew", {"subset": "targets in held-out locations"})
-    reports: dict[str, dict] = {subset: {} for subset in subsets}
-    metrics_payload: dict = {"split_mode": cfg.split_mode, "seeds": list(cfg.seeds), "kinds": {}}
-    for k in kinds:
-        for subset, (rank_fn, suffix, note) in subsets.items():
-            report = run_experiment(partial(rank_fn, k), cfg.seeds, split_mode=cfg.split_mode, embedder_kind=k)
-            reports[subset][k] = report
+    subsets = list(ranks[(kinds[0], cfg.seeds[0])])
+    reports = {
+        subset: {
+            k: run_experiment({seed: ranks[(k, seed)][subset] for seed in cfg.seeds}, cfg.split_mode, k)
+            for k in kinds
+        }
+        for subset in subsets
+    }
+    metrics_payload: dict = {"split_mode": cfg.split_mode, "seeds": list(cfg.seeds), "kinds": {k: {} for k in kinds}}
+    for subset, by_kind in reports.items():
+        suffix = "" if subset == "full" else f"_{subset}"
+        note = {"subset": "targets in held-out locations"} if subset == "lnew" else {}
+        for k, report in by_kind.items():
             write_atomic(
                 artifact(cfg, f"report_{k}_{cfg.split_mode}{suffix}", suffix=".txt"),
                 format_report(report, dataset=cfg.name, provenance={**provenance, **note}),
             )
-            metrics_payload["kinds"].setdefault(k, {})[subset] = {
+            metrics_payload["kinds"][k][subset] = {
                 name: [float(v) for v in report.per_run(name)] for name in METRIC_NAMES
             }
-    write_atomic(artifact(cfg, f"metrics_{cfg.split_mode}"), stable_json(metrics_payload) + "\n")
-    if len(kinds) > 1:
-        for subset, (_, suffix, _) in subsets.items():
+        if len(kinds) > 1:
             comparison = artifact(cfg, f"comparison_{cfg.split_mode}{suffix}", suffix=".txt")
-            write_atomic(comparison, format_comparison(reports[subset]))
+            write_atomic(comparison, format_comparison(by_kind))
+    write_atomic(artifact(cfg, f"metrics_{cfg.split_mode}"), stable_json(metrics_payload) + "\n")
 
     for k in kinds:
         print(f"{k}: " + "  | ".join(

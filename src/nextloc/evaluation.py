@@ -10,7 +10,7 @@ for display happens at formatting time only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,24 +18,6 @@ METRIC_NAMES = ("acc@1", "acc@5", "acc@10", "mrr", "ndcg@10")
 
 # ----------------------------------------------------------------------
 # ranks
-
-
-def validate_ranks(ranks) -> np.ndarray:
-    """Coerce to a 1-d int64 array of 1-based ranks, rejecting bad input."""
-    arr = np.asarray(ranks)
-    if arr.size == 0:
-        raise ValueError("ranks must be non-empty")
-    if arr.ndim != 1:
-        raise ValueError(f"ranks must be 1-d, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("ranks must be integers")
-        arr = arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
-    if np.any(arr < 1):
-        raise ValueError("ranks are 1-based; found a value < 1")
-    return arr
 
 
 def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -62,46 +44,29 @@ def ranks_from_scores(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (1 + better + tied_lower).astype(np.int64)
 
 
-# ----------------------------------------------------------------------
-# metrics
-
-
-def acc_at_k(ranks, k: int) -> float:
-    """Fraction of samples whose true location ranks within the top k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    r = validate_ranks(ranks)
-    return float(np.mean(r <= k))
-
-
-def mrr(ranks) -> float:
-    """Mean reciprocal rank over the full (untruncated) ordering."""
-    r = validate_ranks(ranks)
-    return float(np.mean(1.0 / r))
-
-
-def ndcg_at_k(ranks, k: int = 10) -> float:
-    """Mean discounted gain of the single relevant item within the top k.
-
-    With one relevant item per sample the ideal gain is 1, so each sample
-    contributes 1/log2(rank+1) when rank <= k and 0 otherwise.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    r = validate_ranks(ranks)
-    gains = np.where(r <= k, 1.0 / np.log2(r + 1.0), 0.0)
-    return float(np.mean(gains))
-
-
 def rank_metrics(ranks) -> dict[str, float]:
-    """The standard metric bundle, keyed by METRIC_NAMES."""
-    r = validate_ranks(ranks)
+    """The metrics of METRIC_NAMES for one run's non-empty 1-d array of 1-based ranks.
+
+    acc@k is the share of ranks within the top k and MRR the mean reciprocal
+    rank over the full ordering. With one relevant item per sample the ideal
+    gain is 1, so nDCG@10 averages 1/log2(rank+1) over ranks <= 10 and 0 past.
+    """
+    r = np.asarray(ranks)
+    if r.size == 0:
+        raise ValueError("ranks must be non-empty")
+    if r.ndim != 1:
+        raise ValueError(f"ranks must be 1-d, got shape {r.shape}")
+    if not np.issubdtype(r.dtype, np.integer) and not np.all(r == np.floor(r)):
+        raise ValueError("ranks must be integers")
+    r = r.astype(np.int64)
+    if np.any(r < 1):
+        raise ValueError("ranks are 1-based; found a value < 1")
     return {
-        "acc@1": acc_at_k(r, 1),
-        "acc@5": acc_at_k(r, 5),
-        "acc@10": acc_at_k(r, 10),
-        "mrr": mrr(r),
-        "ndcg@10": ndcg_at_k(r, 10),
+        "acc@1": float(np.mean(r <= 1)),
+        "acc@5": float(np.mean(r <= 5)),
+        "acc@10": float(np.mean(r <= 10)),
+        "mrr": float(np.mean(1.0 / r)),
+        "ndcg@10": float(np.mean(np.where(r <= 10, 1.0 / np.log2(r + 1.0), 0.0))),
     }
 
 
@@ -110,50 +75,17 @@ def rank_metrics(ranks) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class RunMetrics:
-    seed: int
-    n_samples: int
-    values: tuple[float, ...]  # aligned with METRIC_NAMES
-
-    def __post_init__(self):
-        if len(self.values) != len(METRIC_NAMES):
-            raise ValueError(f"expected {len(METRIC_NAMES)} metric values")
-        for name, v in zip(METRIC_NAMES, self.values):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-
-    @classmethod
-    def from_ranks(cls, seed: int, ranks) -> "RunMetrics":
-        r = validate_ranks(ranks)
-        m = rank_metrics(r)
-        return cls(seed=seed, n_samples=int(r.size), values=tuple(m[n] for n in METRIC_NAMES))
-
-    def value(self, name: str) -> float:
-        return self.values[METRIC_NAMES.index(name)]
-
-
-@dataclass(frozen=True)
 class MetricsReport:
+    """One embedder kind's runs: a rank_metrics dict per seed."""
+
     embedder_kind: str
     split_mode: str
-    runs: tuple[RunMetrics, ...]
-
-    def __post_init__(self):
-        if not self.runs:
-            raise ValueError("a report needs at least one run")
-        if self.split_mode not in ("conventional", "inductive"):
-            raise ValueError(f"unknown split mode {self.split_mode!r}")
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        return tuple(r.seed for r in self.runs)
+    seeds: tuple[int, ...]
+    n_samples: tuple[int, ...]
+    runs: tuple[dict[str, float], ...]
 
     def per_run(self, name: str) -> np.ndarray:
-        return np.array([r.value(name) for r in self.runs])
+        return np.array([run[name] for run in self.runs])
 
     def mean(self, name: str) -> float:
         return float(np.mean(self.per_run(name)))
@@ -166,23 +98,24 @@ class MetricsReport:
         return float(np.std(vals, ddof=1))
 
 
-def run_experiment(
-    run_fn: Callable[[int], np.ndarray],
-    seeds: Sequence[int],
-    split_mode: str,
-    embedder_kind: str,
-) -> MetricsReport:
-    """Evaluate run_fn once per seed and aggregate the rank metrics.
+def run_experiment(ranks_by_seed: Mapping[int, np.ndarray], split_mode: str, embedder_kind: str) -> MetricsReport:
+    """Aggregate the rank metrics of one kind's runs, in the mapping's seed order.
 
-    run_fn(seed) must return the 1-based ranks of the true locations on
-    the test samples for that run. In the conventional protocol the seeds
-    vary only the training randomness on a fixed split; in the inductive
-    protocol each seed selects an independently resampled holdout split.
+    Each value holds the 1-based ranks of the true locations on that run's
+    test samples. In the conventional protocol the seeds vary only the
+    training randomness on a fixed split; in the inductive protocol each seed
+    selects an independently resampled holdout split.
     """
-    if len(seeds) < 1:
+    if not ranks_by_seed:
         raise ValueError("at least one run is required")
-    runs = tuple(RunMetrics.from_ranks(seed, run_fn(seed)) for seed in seeds)
-    return MetricsReport(embedder_kind=embedder_kind, split_mode=split_mode, runs=runs)
+    runs = tuple(rank_metrics(ranks) for ranks in ranks_by_seed.values())
+    return MetricsReport(
+        embedder_kind=embedder_kind,
+        split_mode=split_mode,
+        seeds=tuple(ranks_by_seed),
+        n_samples=tuple(len(ranks) for ranks in ranks_by_seed.values()),
+        runs=runs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -199,9 +132,9 @@ def format_report(report: MetricsReport, dataset: str, provenance: Mapping[str, 
         f"dataset: {dataset}",
         f"embedder_kind: {report.embedder_kind}",
         f"split_mode: {report.split_mode}",
-        f"runs: {report.n_runs}",
+        f"runs: {len(report.runs)}",
         "seeds: " + " ".join(str(s) for s in report.seeds),
-        "samples_per_run: " + " ".join(str(r.n_samples) for r in report.runs),
+        "samples_per_run: " + " ".join(str(n) for n in report.n_samples),
     ]
     for key in sorted(provenance or {}):
         lines.append(f"{key}: {(provenance or {})[key]}")
@@ -215,35 +148,22 @@ def format_report(report: MetricsReport, dataset: str, provenance: Mapping[str, 
     return "\n".join(lines) + "\n"
 
 
-def relative_difference(target: MetricsReport, others: Sequence[MetricsReport]) -> dict[str, float | None]:
-    """Per metric: (target - best competing) / best competing, or None when
-    the best competing mean is zero."""
-    if not others:
-        raise ValueError("need at least one competing report")
-    out: dict[str, float | None] = {}
-    for name in METRIC_NAMES:
-        best = max(r.mean(name) for r in others)
-        out[name] = None if best == 0.0 else (target.mean(name) - best) / best
-    return out
-
-
-def format_comparison(
-    reports: Mapping[str, MetricsReport],
-    target_kind: str = "calliper-encoder",
-) -> str:
-    """Side-by-side mean±std table plus a relative-difference row for the
-    target kind against the best competing mean of each metric (displayed
-    as a percentage)."""
+def format_comparison(reports: Mapping[str, MetricsReport]) -> str:
+    """Side-by-side mean±std table. When calliper-encoder is among several
+    kinds, a last row gives, per metric, its relative difference to the best
+    competing mean as a percentage, or n/a when that mean is zero."""
     kinds = sorted(reports)
     lines = ["metric  " + "  ".join(kinds)]
     for name in METRIC_NAMES:
         cells = [f"{_fmt(reports[k].mean(name))}±{_fmt(reports[k].std(name))}" for k in kinds]
         lines.append(f"{name}  " + "  ".join(cells))
-    if target_kind in reports and len(reports) > 1:
-        others = [reports[k] for k in kinds if k != target_kind]
-        rel = relative_difference(reports[target_kind], others)
-        cells = ["n/a" if rel[name] is None else f"{100 * rel[name]:+.2f}%" for name in METRIC_NAMES]
-        lines.append(f"relative_to_best ({target_kind})  " + "  ".join(cells))
+    target = "calliper-encoder"
+    if target in reports and len(reports) > 1:
+        cells = []
+        for name in METRIC_NAMES:
+            best = max(reports[k].mean(name) for k in kinds if k != target)
+            cells.append("n/a" if best == 0.0 else f"{100 * ((reports[target].mean(name) - best) / best):+.2f}%")
+        lines.append(f"relative_to_best ({target})  " + "  ".join(cells))
     return "\n".join(lines) + "\n"
 
 

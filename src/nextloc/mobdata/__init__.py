@@ -14,7 +14,6 @@ from nextloc.mobdata.sequences import (
     read_sequences,
     split_conventional,
     split_inductive,
-    split_manifest,
     write_sequences,
     write_split_manifest,
     read_split_manifest,
@@ -38,7 +37,6 @@ __all__ = [
     "read_split_manifest",
     "split_conventional",
     "split_inductive",
-    "split_manifest",
     "write_sequences",
     "write_split_manifest",
 ]

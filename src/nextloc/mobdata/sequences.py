@@ -129,8 +129,9 @@ def read_sequences(path) -> tuple[list[MobilitySequence], str]:
     return [MobilitySequence.from_dict(d) for d in data["sequences"]], sha256_text(body)
 
 
-def split_manifest(split: DatasetSplit, source_hash: str, extra: dict | None = None) -> dict:
-    body = {
+def write_split_manifest(path, split: DatasetSplit, source_hash: str, extra: dict | None = None) -> dict:
+    """Write the split as sequence ids, digested over the whole body; returns the manifest."""
+    manifest = {
         "mode": split.mode,
         "seed": split.seed,
         "l_new": sorted(split.l_new),
@@ -140,13 +141,8 @@ def split_manifest(split: DatasetSplit, source_hash: str, extra: dict | None = N
         "source_hash": source_hash,
     }
     if extra:
-        body.update(extra)
-    body["manifest_digest"] = sha256_text(stable_json(body))
-    return body
-
-
-def write_split_manifest(path, split: DatasetSplit, source_hash: str, extra: dict | None = None) -> dict:
-    manifest = split_manifest(split, source_hash, extra)
+        manifest.update(extra)
+    manifest["manifest_digest"] = sha256_text(stable_json(manifest))
     write_atomic(path, stable_json(manifest))
     return manifest
 

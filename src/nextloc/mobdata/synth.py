@@ -12,13 +12,12 @@ Everything is a pure function of the seed: files regenerate byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from nextloc.util import make_rng, sha256_file, stable_json
+from nextloc.util import make_rng, sha256_file, stable_json, write_atomic
 
 # Monday 2023-01-02 00:00:00 UTC; a Monday start keeps day-of-week patterns aligned
 EPOCH0 = 1672617600
@@ -66,7 +65,6 @@ class SynthCity:
         return {
             "checkins": sha256_file(self.checkins_path),
             "pois": sha256_file(self.pois_path),
-            "meta": sha256_file(self.meta_path),
         }
 
 
@@ -132,17 +130,15 @@ def generate_synthetic_city(
                 t = EPOCH0 + day * 86400 + int(hour * 3600)
                 rows.append((user, loc, t))
 
+    xy = [f"{float(coords[i, 0])!r},{float(coords[i, 1])!r}" for i in range(n_locations)]
     checkins_path = out / "checkins.csv"
-    with open(checkins_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user,location,x,y,timestamp,description\n")
-        for user, i, t in rows:
-            fh.write(f"{user},{loc_ids[i]},{float(coords[i, 0])!r},{float(coords[i, 1])!r},{t},{descriptions[i]}\n")
-
+    write_atomic(checkins_path, "user,location,x,y,timestamp,description\n" + "".join(
+        f"{user},{loc_ids[i]},{xy[i]},{t},{descriptions[i]}\n" for user, i, t in rows
+    ))
     pois_path = out / "pois.csv"
-    with open(pois_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,x,y,description\n")
-        for i, loc in enumerate(loc_ids):
-            fh.write(f"{loc},{float(coords[i, 0])!r},{float(coords[i, 1])!r},{descriptions[i]}\n")
+    write_atomic(pois_path, "id,x,y,description\n" + "".join(
+        f"{loc},{xy[i]},{descriptions[i]}\n" for i, loc in enumerate(loc_ids)
+    ))
 
     location_category = {loc_ids[i]: categories[loc_category_idx[i]] for i in range(n_locations)}
     meta = {
@@ -158,7 +154,7 @@ def generate_synthetic_city(
         "location_category": location_category,
     }
     meta_path = out / "meta.json"
-    meta_path.write_text(stable_json(meta), encoding="utf-8")
+    write_atomic(meta_path, stable_json(meta))
 
     return SynthCity(
         checkins_path=checkins_path,

@@ -126,10 +126,9 @@ class NextLocPredictor:
             raise ValueError(f"embedding matrix rows {matrix.shape[0]} != |index| {len(index)}")
         self.emb_dim = matrix.shape[1]
         if self.embedder_frozen:
-            self.loc_matrix = matrix
+            self.loc_matrix = Tensor(matrix)
         else:
-            self.store.add("loc_table", matrix)
-            self.loc_matrix = None
+            self.loc_matrix = self.store.add("loc_table", matrix)
 
         c = cfg
         self.store.add("user_emb", rng.standard_normal((len(self.users) + 1, c.user_dim)) * 0.1)
@@ -192,10 +191,7 @@ class NextLocPredictor:
         cfg = self.cfg
         b, t_max = batch.loc_idx.shape
         flat = batch.loc_idx.reshape(-1)
-        if self.embedder_frozen:
-            loc_vecs = Tensor(self.loc_matrix[flat].reshape(b, t_max, self.emb_dim))
-        else:
-            loc_vecs = reshape(gather_rows(self.store["loc_table"], flat), (b, t_max, self.emb_dim))
+        loc_vecs = reshape(gather_rows(self.loc_matrix, flat), (b, t_max, self.emb_dim))
         tod_vecs = reshape(gather_rows(self.store["tod_emb"], batch.tod.reshape(-1)), (b, t_max, cfg.time_dim))
         dow_vecs = reshape(gather_rows(self.store["dow_emb"], batch.dow.reshape(-1)), (b, t_max, cfg.dow_dim))
         user_rows = np.repeat(batch.users, t_max)
@@ -263,7 +259,7 @@ class NextLocPredictor:
         rng = make_rng(seed, "predictor-train")
         optimizer = AdamState(self.store, lr=learning_rate)
         params = self.store.tensors()
-        frozen_before = self.loc_matrix.tobytes() if self.embedder_frozen else None
+        frozen_before = self.loc_matrix.data.tobytes() if self.embedder_frozen else None
         log: list[dict] = []
         best_val = np.inf
         best_state = self.store.state_dict()
@@ -293,7 +289,7 @@ class NextLocPredictor:
                 if wait >= patience:
                     break
         self.store.load_state_dict(best_state)
-        if self.embedder_frozen and self.loc_matrix.tobytes() != frozen_before:
+        if self.embedder_frozen and self.loc_matrix.data.tobytes() != frozen_before:
             raise RuntimeError(f"frozen {self.embedder_kind} embeddings changed during training")
         return {"log": log, "best_val_loss": float(best_val), "epochs_run": len(log)}
 
@@ -303,7 +299,7 @@ class NextLocPredictor:
     def save(self, path, extra_meta: dict | None = None) -> None:
         params = self.store.state_dict()
         if self.embedder_frozen:
-            params["frozen.loc_matrix"] = self.loc_matrix
+            params["frozen.loc_matrix"] = self.loc_matrix.data
         meta = {
             "kind": "predictor",
             "config": self.cfg.to_dict(),

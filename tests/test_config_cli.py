@@ -524,6 +524,28 @@ def test_conventional_pipeline_shares_one_split(tmp_path, monkeypatch):
     assert all(set(payload["kinds"][k]) == {"full"} for k in kinds)
 
 
+def test_evaluate_without_held_out_targets_writes_nothing(tmp_path, capsys):
+    # a holdout fraction this small holds out no location, so the inductive
+    # held-out subset is empty; the refusal must come before any report
+    city = tmp_path / "city"
+    cfg_path = tmp_path / "cfg.json"
+    assert main([
+        "synth", "--out", str(city), "--seed", "3",
+        "--users", "8", "--locations", "24", "--categories", "4", "--days", "30",
+        "--write-config", str(cfg_path), "--split-mode", "inductive",
+    ]) == 0
+    d = json.loads(cfg_path.read_text())
+    d.update(holdout_fraction=0.001, seeds=[0], embedder_kinds=["lookup-table"], train_epochs=1, train_patience=1)
+    cfg_path.write_text(json.dumps(d))
+    for stage in ("preprocess", "train"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 1
+    assert "error: split seed 0 has no test samples targeting held-out locations" in capsys.readouterr().err
+    out = Path(d["out_dir"])
+    assert [p.name for p in out.glob("*") if p.name.startswith(("report_", "metrics_", "comparison_"))] == []
+
+
 def test_argparse_requires_config():
     with pytest.raises(SystemExit):
         main(["preprocess"])

@@ -8,18 +8,13 @@ from hypothesis import strategies as st
 from nextloc.evaluation import (
     METRIC_NAMES,
     MetricsReport,
-    RunMetrics,
-    acc_at_k,
     format_comparison,
     format_report,
-    mrr,
-    ndcg_at_k,
     project_2d,
     projection_coords_text,
     projection_svg,
     rank_metrics,
     ranks_from_scores,
-    relative_difference,
     run_experiment,
 )
 from nextloc.util import make_rng
@@ -29,35 +24,34 @@ from nextloc.util import make_rng
 
 
 def test_acc_at_k_anchors():
-    assert acc_at_k([1, 1, 1], 1) == 1.0
-    assert acc_at_k([1, 2, 4], 3) == pytest.approx(2 / 3)
-    assert acc_at_k([11], 10) == 0.0
+    assert rank_metrics([1, 1, 1])["acc@1"] == 1.0
+    got = rank_metrics([1, 2, 4, 6])
+    assert (got["acc@1"], got["acc@5"], got["acc@10"]) == (0.25, 0.75, 1.0)
+    assert rank_metrics([11])["acc@10"] == 0.0
 
 
 def test_mrr_anchors():
-    assert mrr([1, 1, 1, 1]) == 1.0
-    assert mrr([1, 2, 4]) == pytest.approx(7 / 12)
-    assert mrr([100]) == 0.01
+    assert rank_metrics([1, 1, 1, 1])["mrr"] == 1.0
+    assert rank_metrics([1, 2, 4])["mrr"] == pytest.approx(7 / 12)
+    assert rank_metrics([100])["mrr"] == 0.01
 
 
 def test_ndcg_anchors():
-    assert ndcg_at_k([1]) == 1.0
-    assert ndcg_at_k([3]) == 0.5  # 1/log2(4)
-    assert ndcg_at_k([11], k=10) == 0.0
+    assert rank_metrics([1])["ndcg@10"] == 1.0
+    assert rank_metrics([3])["ndcg@10"] == 0.5  # 1/log2(4)
+    assert rank_metrics([11])["ndcg@10"] == 0.0
+
+
+def test_rank_metrics_keys_and_integral_floats():
+    got = rank_metrics(np.array([1.0, 2.0, 4.0]))
+    assert tuple(got) == METRIC_NAMES
+    assert got == rank_metrics([1, 2, 4])
 
 
 def test_metrics_reject_empty_and_bad_input():
-    for fn in (lambda r: acc_at_k(r, 5), mrr, ndcg_at_k):
+    for ranks in ([], [0, 1], [1.5], [[1, 2]]):
         with pytest.raises(ValueError):
-            fn([])
-    with pytest.raises(ValueError):
-        acc_at_k([1, 2], 0)
-    with pytest.raises(ValueError):
-        ndcg_at_k([1, 2], 0)
-    with pytest.raises(ValueError):
-        mrr([0, 1])
-    with pytest.raises(ValueError):
-        mrr([1.5])
+            rank_metrics(ranks)
 
 
 # ----------------------------------------------------------------------
@@ -150,84 +144,61 @@ def test_improving_a_rank_never_hurts_any_metric(ranks, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=40))
+@given(st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=40))
 def test_acc_at_full_catalogue_is_one(ranks):
-    assert acc_at_k(ranks, 25) == 1.0
+    # in a catalogue of 10 locations every rank is at most 10
+    assert rank_metrics(ranks)["acc@10"] == 1.0
 
 
 # ----------------------------------------------------------------------
 # reports
 
 
-def test_run_metrics_from_ranks():
-    rm = RunMetrics.from_ranks(3, [1, 2, 4])
-    assert rm.seed == 3 and rm.n_samples == 3
-    assert rm.value("acc@1") == pytest.approx(1 / 3)
-    assert rm.value("mrr") == pytest.approx(7 / 12)
+def fixed(kind: str, value: float) -> MetricsReport:
+    """A one-run report with every metric at `value`."""
+    return MetricsReport(kind, "conventional", seeds=(0,), n_samples=(4,), runs=(dict.fromkeys(METRIC_NAMES, value),))
+
+
+def test_run_experiment_keeps_seeds_samples_and_metrics():
+    report = run_experiment({3: [1, 2, 4], 7: np.array([2, 2])}, split_mode="inductive", embedder_kind="lookup-table")
+    assert report.seeds == (3, 7) and report.n_samples == (3, 2)
+    assert report.runs[0] == rank_metrics([1, 2, 4])
+    assert report.runs[0]["acc@1"] == pytest.approx(1 / 3)
+    assert report.runs[1]["mrr"] == 0.5
 
 
 def test_report_mean_and_std():
-    runs = tuple(
-        RunMetrics(seed=s, n_samples=10, values=(v, v, v, v, v))
-        for s, v in zip((0, 1), (0.2, 0.4))
-    )
-    report = MetricsReport(embedder_kind="lookup-table", split_mode="conventional", runs=runs)
+    # acc@1 is 0.2 in seed 0 and 0.4 in seed 1
+    report = run_experiment({0: [1, 20, 20, 20, 20], 1: [1, 1, 20, 20, 20]}, "conventional", "lookup-table")
     assert report.mean("acc@1") == pytest.approx(0.3)
     assert report.std("acc@1") == pytest.approx(np.std([0.2, 0.4], ddof=1))
-    assert report.seeds == (0, 1)
+    np.testing.assert_array_equal(report.per_run("acc@1"), [0.2, 0.4])
 
 
 def test_report_identical_runs_zero_std():
-    runs = tuple(
-        RunMetrics(seed=s, n_samples=5, values=(0.5, 0.6, 0.7, 0.4, 0.55)) for s in range(5)
-    )
-    report = MetricsReport(embedder_kind="skipgram-table", split_mode="inductive", runs=runs)
+    report = run_experiment(dict.fromkeys(range(5), [1, 3, 7, 12]), "inductive", "skipgram-table")
     for name in METRIC_NAMES:
         assert report.std(name) == 0.0
 
 
 def test_report_single_run_std_zero():
-    report = MetricsReport(
-        embedder_kind="lookup-table",
-        split_mode="conventional",
-        runs=(RunMetrics(seed=0, n_samples=2, values=(1.0, 1.0, 1.0, 1.0, 1.0)),),
-    )
-    assert report.std("mrr") == 0.0
-
-
-def test_report_validation():
-    with pytest.raises(ValueError):
-        MetricsReport(embedder_kind="x", split_mode="conventional", runs=())
-    with pytest.raises(ValueError):
-        MetricsReport(
-            embedder_kind="x",
-            split_mode="sideways",
-            runs=(RunMetrics(seed=0, n_samples=1, values=(0,) * 5),),
-        )
-    with pytest.raises(ValueError):
-        RunMetrics(seed=0, n_samples=1, values=(1.5, 0, 0, 0, 0))
+    assert run_experiment({0: [1, 1]}, "conventional", "lookup-table").std("mrr") == 0.0
 
 
 def test_run_experiment_aggregates_and_replays():
-    def run_fn(seed):
-        rng = make_rng(seed, "fake-run")
-        return rng.integers(1, 20, size=50)
-
-    report = run_experiment(run_fn, seeds=[0, 1, 2, 3, 4], split_mode="conventional", embedder_kind="lookup-table")
-    assert report.n_runs == 5 and report.seeds == (0, 1, 2, 3, 4)
-    replay = run_experiment(run_fn, seeds=[0, 1, 2, 3, 4], split_mode="conventional", embedder_kind="lookup-table")
-    assert replay == report  # bit-for-bit: dataclass equality over float tuples
+    ranks = {seed: make_rng(seed, "fake-run").integers(1, 20, size=50) for seed in range(5)}
+    report = run_experiment(ranks, split_mode="conventional", embedder_kind="lookup-table")
+    assert report.seeds == (0, 1, 2, 3, 4) and len(report.runs) == 5
+    replay = run_experiment(dict(ranks), split_mode="conventional", embedder_kind="lookup-table")
+    assert replay == report  # bit-for-bit: dataclass equality over the metric floats
     with pytest.raises(ValueError):
-        run_experiment(run_fn, seeds=[], split_mode="conventional", embedder_kind="lookup-table")
+        run_experiment({}, split_mode="conventional", embedder_kind="lookup-table")
+    with pytest.raises(ValueError):
+        run_experiment({0: [1, 2], 1: []}, split_mode="conventional", embedder_kind="lookup-table")
 
 
 def test_format_report_contains_raw_and_display_values():
-    report = run_experiment(
-        lambda seed: np.array([1, 2, 4]),
-        seeds=[0, 1],
-        split_mode="conventional",
-        embedder_kind="calliper-encoder",
-    )
+    report = run_experiment({0: np.array([1, 2, 4]), 1: np.array([1, 2, 4])}, "conventional", "calliper-encoder")
     text = format_report(report, dataset="synth", provenance={"manifest_hash": "abc123"})
     assert "dataset: synth" in text
     assert "manifest_hash: abc123" in text
@@ -238,40 +209,117 @@ def test_format_report_contains_raw_and_display_values():
     assert f"mean acc@1: {1/3:.10f}" in text
 
 
-def test_relative_difference_vs_best_competitor():
-    def fixed(kind, v):
-        return MetricsReport(
-            embedder_kind=kind,
-            split_mode="conventional",
-            runs=(RunMetrics(seed=0, n_samples=4, values=(v,) * 5),),
-        )
-
-    target = fixed("calliper-encoder", 0.6)
-    others = [fixed("lookup-table", 0.5), fixed("skipgram-table", 0.4)]
-    rel = relative_difference(target, others)
-    assert rel["acc@1"] == pytest.approx((0.6 - 0.5) / 0.5)
-    zero = [fixed("lookup-table", 0.0)]
-    assert relative_difference(target, zero)["acc@1"] is None
-    with pytest.raises(ValueError):
-        relative_difference(target, [])
-
-
 def test_format_comparison_has_relative_row():
-    def fixed(kind, v):
-        return MetricsReport(
-            embedder_kind=kind,
-            split_mode="inductive",
-            runs=(RunMetrics(seed=0, n_samples=4, values=(v,) * 5),),
-        )
-
     text = format_comparison(
         {
-            "calliper-encoder": fixed("calliper-encoder", 0.66),
-            "lookup-table": fixed("lookup-table", 0.55),
+            "calliper-encoder": fixed("calliper-encoder", 0.6),
+            "lookup-table": fixed("lookup-table", 0.5),
+            "skipgram-table": fixed("skipgram-table", 0.4),
         }
     )
-    assert "relative_to_best (calliper-encoder)" in text
-    assert "+20.00%" in text
+    assert text.splitlines()[-1] == "relative_to_best (calliper-encoder)  " + "  ".join(["+20.00%"] * 5)
+
+
+def test_format_comparison_zero_competitor_gives_n_a():
+    reports = {"calliper-encoder": fixed("calliper-encoder", 0.6), "lookup-table": fixed("lookup-table", 0.0)}
+    text = format_comparison(reports)
+    assert text.splitlines()[-1] == "relative_to_best (calliper-encoder)  " + "  ".join(["n/a"] * 5)
+
+
+def test_format_comparison_without_competitors_has_no_relative_row():
+    for kind in ("calliper-encoder", "lookup-table"):
+        assert "relative_to_best" not in format_comparison({kind: fixed(kind, 0.6)})
+
+
+# ----------------------------------------------------------------------
+# golden text: the bytes of reports, comparisons and metrics for fixed ranks
+
+GOLDEN_RANKS = {
+    "calliper-encoder": {0: [1, 2, 4, 11], 1: [3, 1, 7, 20]},
+    "lookup-table": {0: [11, 12, 2, 30], 1: [2, 6, 9, 40]},
+    "skipgram-table": {0: [2, 2, 50, 60], 1: [2, 14, 15, 16]},
+}
+
+
+def golden_reports() -> dict:
+    return {
+        kind: run_experiment(
+            {seed: np.array(by_seed[seed]) for seed in [0, 1]},
+            split_mode="inductive",
+            embedder_kind=kind,
+        )
+        for kind, by_seed in GOLDEN_RANKS.items()
+    }
+
+
+def test_format_report_golden_text():
+    provenance = {"subset": "x", "sequences_hash": "abc"}
+    text = format_report(golden_reports()["calliper-encoder"], dataset="golden", provenance=provenance)
+    assert text == (
+        "dataset: golden\n"
+        "embedder_kind: calliper-encoder\n"
+        "split_mode: inductive\n"
+        "runs: 2\n"
+        "seeds: 0 1\n"
+        "samples_per_run: 4 4\n"
+        "sequences_hash: abc\n"
+        "subset: x\n"
+        "per_run acc@1: 0.2500000000 0.2500000000\n"
+        "per_run acc@5: 0.7500000000 0.5000000000\n"
+        "per_run acc@10: 0.7500000000 0.7500000000\n"
+        "per_run mrr: 0.4602272727 0.3815476190\n"
+        "per_run ndcg@10: 0.5154015779 0.4583333333\n"
+        "mean acc@1: 0.2500000000 std: 0.0000000000\n"
+        "mean acc@5: 0.6250000000 std: 0.1767766953\n"
+        "mean acc@10: 0.7500000000 std: 0.0000000000\n"
+        "mean mrr: 0.4208874459 std: 0.0556349167\n"
+        "mean ndcg@10: 0.4868674556 std: 0.0403533427\n"
+        "display_x100: acc@1 25.00±0.00  acc@5 62.50±17.68  acc@10 75.00±0.00  mrr 42.09±5.56  ndcg@10 48.69±4.04\n"
+    )
+
+
+def test_format_comparison_golden_text():
+    # no competitor ever ranks the target first, so acc@1 has no relative cell
+    assert format_comparison(golden_reports()) == (
+        "metric  calliper-encoder  lookup-table  skipgram-table\n"
+        "acc@1  0.2500000000±0.0000000000  0.0000000000±0.0000000000  0.0000000000±0.0000000000\n"
+        "acc@5  0.6250000000±0.1767766953  0.2500000000±0.0000000000  0.3750000000±0.1767766953\n"
+        "acc@10  0.7500000000±0.0000000000  0.5000000000±0.3535533906  0.3750000000±0.1767766953\n"
+        "mrr  0.4208874459±0.0556349167  0.1887941919±0.0168294985  0.2171577381±0.0594095965\n"
+        "ndcg@10  0.4868674556±0.0403533427  0.2398870862±0.1161842172  0.2365986576±0.1115336768\n"
+        "relative_to_best (calliper-encoder)  n/a  +66.67%  +50.00%  +93.82%  +102.96%\n"
+    )
+
+
+def test_per_run_values_golden():
+    # the floats the metrics payload stores, exactly
+    per_run = {
+        kind: {name: [float(v) for v in report.per_run(name)] for name in METRIC_NAMES}
+        for kind, report in golden_reports().items()
+    }
+    assert per_run == {
+        "calliper-encoder": {
+            "acc@1": [0.25, 0.25],
+            "acc@5": [0.75, 0.5],
+            "acc@10": [0.75, 0.75],
+            "mrr": [0.4602272727272727, 0.381547619047619],
+            "ndcg@10": [0.5154015779112127, 0.4583333333333333],
+        },
+        "lookup-table": {
+            "acc@1": [0.0, 0.0],
+            "acc@5": [0.25, 0.25],
+            "acc@10": [0.25, 0.75],
+            "mrr": [0.1768939393939394, 0.20069444444444443],
+            "ndcg@10": [0.15773243839286438, 0.3220417340858652],
+        },
+        "skipgram-table": {
+            "acc@1": [0.0, 0.0],
+            "acc@5": [0.5, 0.25],
+            "acc@10": [0.5, 0.25],
+            "mrr": [0.25916666666666666, 0.1751488095238095],
+            "ndcg@10": [0.31546487678572877, 0.15773243839286438],
+        },
+    }
 
 
 # ----------------------------------------------------------------------

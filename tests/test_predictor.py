@@ -292,7 +292,7 @@ def test_training_rejects_empty_splits():
 
 def test_frozen_embedding_matrix_untouched_by_training():
     model = frozen_predictor()
-    before = model.loc_matrix.tobytes()
+    before = model.loc_matrix.data.tobytes()
     split = DatasetSplit(
         train=[seq("u1", ["L0", "L1"], "L2", t0=i * 50 * HOUR) for i in range(8)],
         validation=[seq("u1", ["L1", "L0"], "L2", t0=10_000_000)],
@@ -300,7 +300,7 @@ def test_frozen_embedding_matrix_untouched_by_training():
         mode="conventional",
     )
     model.train(split, epochs=2, patience=2, batch_size=4, seed=0)
-    assert model.loc_matrix.tobytes() == before
+    assert model.loc_matrix.data.tobytes() == before
     assert "loc_table" not in model.store.names()
 
 
@@ -310,7 +310,7 @@ def test_training_refuses_changed_frozen_embeddings(monkeypatch):
     validation_loss = model._epoch_loss
 
     def perturbing_epoch_loss(sequences, batch_size):
-        model.loc_matrix[0, 0] += 1.0
+        model.loc_matrix.data[0, 0] += 1.0
         return validation_loss(sequences, batch_size)
 
     monkeypatch.setattr(model, "_epoch_loss", perturbing_epoch_loss)
@@ -367,7 +367,7 @@ def test_save_load_round_trip_frozen(tmp_path):
         restored = NextLocPredictor.load(path, make_index(3))
         assert restored.embedder_kind == kind
         assert restored.embedder_frozen and "loc_table" not in restored.store.names()
-        np.testing.assert_array_equal(restored.loc_matrix, model.loc_matrix)
+        np.testing.assert_array_equal(restored.loc_matrix.data, model.loc_matrix.data)
         np.testing.assert_array_equal(restored.predict_proba([s])[0], before)
 
 
