@@ -28,8 +28,8 @@ from nextloc.config import (
     EMBEDDER_KINDS,
     ExperimentConfig,
     load_config,
-    make_preset,
     save_config,
+    synthetic_desk_config,
 )
 from nextloc.evaluation import (
     METRIC_NAMES,
@@ -406,8 +406,7 @@ def cmd_synth(args) -> int:
     print(f"checkins: {city.checkins_path} ({city.n_visits} visits, sha256 {hashes['checkins']})")
     print(f"pois: {city.pois_path} (sha256 {hashes['pois']})")
     if args.write_config:
-        cfg = make_preset(
-            "synthetic-desk",
+        cfg = synthetic_desk_config(
             checkins_path=str(city.checkins_path),
             pois_path=str(city.pois_path),
             out_dir=str(Path(args.out) / "artifacts"),

@@ -138,71 +138,36 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(json.loads(p.read_text(encoding="utf-8")))
 
 
-# ----------------------------------------------------------------------
-# named presets
-#
-# The four check-in presets carry the published per-dataset settings:
-# radii 0.01-10 except gowalla-ld at 1-1000, contrastive batch sizes
-# 128 / 256 / 1024 / 256. The synthetic-desk preset shrinks every stage
-# so a full three-embedder, five-seed comparison finishes in minutes on
-# one CPU.
+def synthetic_desk_config(checkins_path: str, pois_path: str, out_dir: str, split_mode: str) -> ExperimentConfig:
+    """The config `nextloc synth --write-config` writes for its city.
 
-_CHECKIN_PRESETS = {
-    "fsq-nyc": {"r_min": 0.01, "r_max": 10.0, "batch_size": 128},
-    "fsq-tky": {"r_min": 0.01, "r_max": 10.0, "batch_size": 256},
-    "gowalla-ld": {"r_min": 1.0, "r_max": 1000.0, "batch_size": 1024},
-    "geolife": {"r_min": 0.01, "r_max": 10.0, "batch_size": 256},
-}
-
-PRESET_NAMES = tuple(sorted(_CHECKIN_PRESETS)) + ("synthetic-desk",)
-
-
-def make_preset(
-    name: str,
-    checkins_path: str,
-    pois_path: str,
-    out_dir: str,
-    split_mode: str = "conventional",
-) -> ExperimentConfig:
-    if name in _CHECKIN_PRESETS:
-        p = _CHECKIN_PRESETS[name]
-        return ExperimentConfig(
-            name=name,
-            checkins_path=checkins_path,
-            pois_path=pois_path,
-            out_dir=out_dir,
-            grid=GridSpec(p["r_min"], p["r_max"], 32),
-            pretrain=PretrainConfig(batch_size=p["batch_size"]),
-            predictor=PredictorConfig(),
-            split_mode=split_mode,
-        )
-    if name == "synthetic-desk":
-        # city coordinates live on a radius-6 ring with sigma-0.8 spread,
-        # so useful structure spans roughly 0.1 to 20 units
-        return ExperimentConfig(
-            name=name,
-            checkins_path=checkins_path,
-            pois_path=pois_path,
-            out_dir=out_dir,
-            grid=GridSpec(0.1, 20.0, 16),
-            pretrain=PretrainConfig(batch_size=64, epochs=40, embed_dim=64, hidden_dim=128),
-            predictor=PredictorConfig(
-                layers=2,
-                heads=4,
-                ff_dim=128,
-                dropout=0.1,
-                d_model=64,
-                max_context=16,
-                time_dim=8,
-                dow_dim=4,
-                user_dim=8,
-            ),
-            split_mode=split_mode,
-            min_visits_per_location=10,
-            train_epochs=12,
-            train_patience=2,
-            train_batch_size=128,
-            max_train_sequences=2500,
-            skipgram_epochs=5,
-        )
-    raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
+    Every stage is shrunk so a full three-embedder, five-seed comparison
+    finishes in minutes on one CPU. City coordinates live on a radius-6 ring
+    with sigma-0.8 spread, so useful structure spans roughly 0.1 to 20 units.
+    """
+    return ExperimentConfig(
+        name="synthetic-desk",
+        checkins_path=checkins_path,
+        pois_path=pois_path,
+        out_dir=out_dir,
+        grid=GridSpec(0.1, 20.0, 16),
+        pretrain=PretrainConfig(batch_size=64, epochs=40, embed_dim=64, hidden_dim=128),
+        predictor=PredictorConfig(
+            layers=2,
+            heads=4,
+            ff_dim=128,
+            dropout=0.1,
+            d_model=64,
+            max_context=16,
+            time_dim=8,
+            dow_dim=4,
+            user_dim=8,
+        ),
+        split_mode=split_mode,
+        min_visits_per_location=10,
+        train_epochs=12,
+        train_patience=2,
+        train_batch_size=128,
+        max_train_sequences=2500,
+        skipgram_epochs=5,
+    )

@@ -1,8 +1,8 @@
 """Check-in file loading and popularity filtering.
 
-Input format: CSV with header user,location,x,y,timestamp and an optional
-description column. Timestamps are either numeric UTC seconds or ISO-8601
-(naive values are taken as UTC).
+Input format: CSV with header user,location,x,y,timestamp; other columns,
+such as a description, are ignored. Timestamps are either numeric UTC
+seconds or ISO-8601 (naive values are taken as UTC).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ def _parse_timestamp(raw: str) -> int:
     text = raw.strip()
     try:
         return int(float(text))
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -33,20 +33,18 @@ def load_checkins(path) -> tuple[list[VisitRecord], LocationIndex]:
     """Read visits and build the location index from a check-in file."""
     required = {"user", "location", "x", "y", "timestamp"}
     records: list[tuple[str, int, int, str]] = []
-    coords: dict[str, tuple[float, float]] = {}
-    semantics: dict[str, str] = {}
+    coords: dict[str, GeoPoint] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(
                 f"{path}: check-in file needs columns user,location,x,y,timestamp, got {reader.fieldnames}"
             )
-        has_description = "description" in reader.fieldnames
         for lineno, row in enumerate(reader, start=2):
             if any(row.get(col) in (None, "") for col in required):
                 raise ValueError(f"{path}:{lineno}: missing value in one of {sorted(required)}")
             try:
-                x, y = float(row["x"]), float(row["y"])
+                point = GeoPoint(float(row["x"]), float(row["y"]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad coordinate ({exc})") from None
             try:
@@ -54,25 +52,14 @@ def load_checkins(path) -> tuple[list[VisitRecord], LocationIndex]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             loc = row["location"]
-            if loc in coords and coords[loc] != (x, y):
+            if coords.setdefault(loc, point) != point:
                 raise ValueError(f"{path}:{lineno}: location {loc!r} has conflicting coordinates")
-            coords[loc] = (x, y)
-            if has_description and row["description"]:
-                if loc in semantics and semantics[loc] != row["description"]:
-                    raise ValueError(f"{path}:{lineno}: location {loc!r} has conflicting descriptions")
-                semantics[loc] = row["description"]
             records.append((row["user"], t, lineno, loc))
     if not records:
         raise ValueError(f"{path}: no check-in records")
     records.sort(key=lambda r: (r[0], r[1], r[2]))
     visits = [VisitRecord(user=u, location=l, t=t) for u, t, _, l in records]
-    index = LocationIndex(
-        [
-            Location(id=loc, semantics=semantics.get(loc, ""), centroid=GeoPoint(*coords[loc]))
-            for loc in coords
-        ]
-    )
-    return visits, index
+    return visits, LocationIndex([Location(id=loc, centroid=point) for loc, point in coords.items()])
 
 
 def filter_min_counts(

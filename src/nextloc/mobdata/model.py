@@ -19,9 +19,7 @@ class VisitRecord:
 @dataclass(frozen=True)
 class Location:
     id: str
-    semantics: str  # free-text description; may be empty
     centroid: GeoPoint
-    hull: tuple[GeoPoint, ...] = ()  # empty for check-in data, but part of content_hash()
 
 
 class LocationIndex:
@@ -59,31 +57,11 @@ class LocationIndex:
         return self._locations[self.class_of(location_id)]
 
     def to_dict(self) -> dict:
-        return {
-            "locations": [
-                {
-                    "id": loc.id,
-                    "semantics": loc.semantics,
-                    "centroid": [loc.centroid.x, loc.centroid.y],
-                    "hull": [[p.x, p.y] for p in loc.hull],
-                }
-                for loc in self._locations
-            ]
-        }
+        return {"locations": [{"id": loc.id, "centroid": [loc.centroid.x, loc.centroid.y]} for loc in self._locations]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LocationIndex":
-        return cls(
-            [
-                Location(
-                    id=entry["id"],
-                    semantics=entry["semantics"],
-                    centroid=GeoPoint(*entry["centroid"]),
-                    hull=tuple(GeoPoint(*p) for p in entry["hull"]),
-                )
-                for entry in d["locations"]
-            ]
-        )
+        return cls([Location(id=entry["id"], centroid=GeoPoint(*entry["centroid"])) for entry in d["locations"]])
 
     def content_hash(self) -> str:
         return sha256_text(stable_json(self.to_dict()))

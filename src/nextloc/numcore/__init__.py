@@ -17,7 +17,6 @@ from nextloc.numcore.tensor import (
     gather_rows,
     l2_normalize,
     layer_norm,
-    log_softmax,
     matmul,
     mul,
     multi_head_attention,
@@ -25,8 +24,6 @@ from nextloc.numcore.tensor import (
     reshape,
     scale,
     softmax,
-    softplus,
-    sub,
     tmean,
     transpose,
     tsum,
@@ -56,7 +53,6 @@ __all__ = [
     "l2_normalize",
     "layer_norm",
     "load_checkpoint",
-    "log_softmax",
     "matmul",
     "mul",
     "multi_head_attention",
@@ -65,8 +61,6 @@ __all__ = [
     "save_checkpoint",
     "scale",
     "softmax",
-    "softplus",
-    "sub",
     "tmean",
     "transpose",
     "tsum",

@@ -160,16 +160,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data + b.data, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-
-    def back(g, accum):
-        accum(a, _unbroadcast(g, a.shape))
-        accum(b, -_unbroadcast(g, b.shape))
-
-    return _from_op(a.data - b.data, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
 
@@ -213,16 +203,6 @@ def relu(x: Tensor) -> Tensor:
     return _from_op(np.maximum(x.data, 0.0), (x,), back)
 
 
-def softplus(x: Tensor) -> Tensor:
-    def back(g, accum):
-        # derivative is the logistic sigmoid, computed branch-wise for stability
-        z = x.data
-        sig = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        accum(x, g * sig)
-
-    return _from_op(np.logaddexp(0.0, x.data), (x,), back)
-
-
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
@@ -233,18 +213,6 @@ def softmax(x: Tensor) -> Tensor:
         accum(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     return _from_op(s, (x,), back)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    m = x.data.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
-    out = x.data - lse
-
-    def back(g, accum):
-        p = np.exp(out)
-        accum(x, g - p * g.sum(axis=-1, keepdims=True))
-
-    return _from_op(out, (x,), back)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

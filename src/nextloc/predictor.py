@@ -304,7 +304,6 @@ class NextLocPredictor:
             "kind": "predictor",
             "config": self.cfg.to_dict(),
             "embedder_kind": self.embedder_kind,
-            "embedder_frozen": self.embedder_frozen,
             "users": self.users,
             "index_hash": self.index.content_hash(),
         }
@@ -315,7 +314,7 @@ class NextLocPredictor:
     @classmethod
     def load(cls, path, index: LocationIndex, manifest_digest: str | None = None) -> "NextLocPredictor":
         params, meta = load_checkpoint(path, "predictor", index.content_hash(), manifest_digest)
-        matrix = params.pop("frozen.loc_matrix") if meta["embedder_frozen"] else params["loc_table"]
+        matrix = params["loc_table"] if meta["embedder_kind"] == "lookup-table" else params.pop("frozen.loc_matrix")
         model = cls(index, meta["users"], matrix, meta["embedder_kind"], PredictorConfig.from_dict(meta["config"]))
         model.store.load_state_dict(params)
         return model

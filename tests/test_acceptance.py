@@ -184,7 +184,7 @@ def test_criterion_3_gradient_integrity(verdict):
     from nextloc.mobdata.model import Location
 
     index = LocationIndex(
-        [Location(id=f"L{i}", semantics=f"place {i}", centroid=GeoPoint(float(i), float(-i))) for i in range(4)]
+        [Location(id=f"L{i}", centroid=GeoPoint(float(i), float(-i))) for i in range(4)]
     )
 
     cfg = PredictorConfig(

@@ -19,7 +19,7 @@ from nextloc.mobdata.model import Location, LocationIndex
 
 def make_index(n):
     return LocationIndex(
-        [Location(id=f"L{i}", semantics=f"place {i}", centroid=GeoPoint(float(i), float(-i))) for i in range(n)]
+        [Location(id=f"L{i}", centroid=GeoPoint(float(i), float(-i))) for i in range(n)]
     )
 
 

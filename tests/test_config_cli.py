@@ -13,8 +13,8 @@ from nextloc.cli import main
 from nextloc.config import (
     ExperimentConfig,
     load_config,
-    make_preset,
     save_config,
+    synthetic_desk_config,
 )
 from nextloc.mobdata import MobilitySequence, write_sequences
 from nextloc.numcore import save_checkpoint
@@ -24,8 +24,7 @@ from nextloc.numcore import save_checkpoint
 
 
 def desk_config(tmp_path: Path, **edits) -> ExperimentConfig:
-    cfg = make_preset(
-        "synthetic-desk",
+    cfg = synthetic_desk_config(
         checkins_path=str(tmp_path / "city" / "checkins.csv"),
         pois_path=str(tmp_path / "city" / "pois.csv"),
         out_dir=str(tmp_path / "artifacts"),
@@ -148,7 +147,7 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
     write = {
         "checkpoint": lambda v: save_checkpoint(path, {"w": np.full(64, float(v))}),
         "sequences": lambda v: write_sequences(path, [MobilitySequence(f"u{v}", (("L0", 0),), "L1", 60)] * 64),
-        "config": lambda v: save_config(make_preset("synthetic-desk", f"c{v}.csv", "p.csv", "out"), path),
+        "config": lambda v: save_config(synthetic_desk_config(f"c{v}.csv", "p.csv", "out", "inductive"), path),
     }[writer]
     write(1)
     before = path.read_bytes()
@@ -163,22 +162,6 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
         write(2)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
-
-
-def test_presets_carry_published_settings():
-    nyc = make_preset("fsq-nyc", "a.csv", "b.csv", "out")
-    assert (nyc.grid.r_min, nyc.grid.r_max, nyc.grid.n_scales) == (0.01, 10.0, 32)
-    assert nyc.pretrain.batch_size == 128
-    tky = make_preset("fsq-tky", "a.csv", "b.csv", "out")
-    assert tky.pretrain.batch_size == 256
-    gow = make_preset("gowalla-ld", "a.csv", "b.csv", "out")
-    assert (gow.grid.r_min, gow.grid.r_max) == (1.0, 1000.0)
-    assert gow.pretrain.batch_size == 1024
-    geo = make_preset("geolife", "a.csv", "b.csv", "out")
-    assert geo.pretrain.batch_size == 256
-    assert geo.predictor.layers == 6 and geo.predictor.heads == 8
-    with pytest.raises(ValueError, match="preset"):
-        make_preset("atlantis", "a.csv", "b.csv", "out")
 
 
 def test_load_config_missing_file(tmp_path):
@@ -317,7 +300,7 @@ def test_checkpoint_index_mismatch_is_refused(pipeline, tmp_path, capsys):
     work = tmp_path / "swapped"
     shutil.copytree(pipeline.out, work)
     doc = json.loads((work / "locations.json").read_text())
-    doc["locations"][0]["semantics"] = "repainted landmark"
+    doc["locations"][0]["centroid"][0] += 1.0  # a moved location is a different index
     (work / "locations.json").write_text(json.dumps(doc))
     rc = main(["evaluate", "--config", str(pipeline.cfg_path), "--out", str(work)])
     assert rc == 1

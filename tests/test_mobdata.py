@@ -71,14 +71,22 @@ def test_load_checkins_error_names_line(tmp_path):
     with pytest.raises(ValueError) as err:
         load_checkins(path)
     assert ":3:" in str(err.value)
+    # a non-finite coordinate is named by file and line, also for a location seen before
+    for loc in ("locA", "locB"):
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"user,location,x,y,timestamp\nu1,locA,1.0,2.0,100\nu1,{loc},{bad},2.0,200\n")
+            with pytest.raises(ValueError) as err:
+                load_checkins(path)
+            assert str(err.value).startswith(f"{path}:3: bad coordinate"), str(err.value)
 
 
 def test_load_checkins_rejects_unknown_timestamp(tmp_path):
     path = tmp_path / "checkins.csv"
-    path.write_text("user,location,x,y,timestamp\nu1,locA,1.0,2.0,yesterday\n")
-    with pytest.raises(ValueError) as err:
-        load_checkins(path)
-    assert "timestamp" in str(err.value)
+    for stamp in ("yesterday", "inf", "-inf", "1e400", "nan"):
+        path.write_text(f"user,location,x,y,timestamp\nu1,locA,1.0,2.0,{stamp}\n")
+        with pytest.raises(ValueError) as err:
+            load_checkins(path)
+        assert str(err.value) == f"{path}:2: unknown timestamp format: {stamp!r}"
 
 
 def test_load_checkins_iso_timestamps(tmp_path):
@@ -97,6 +105,18 @@ def test_load_checkins_conflicting_coordinates_rejected(tmp_path):
     path.write_text("user,location,x,y,timestamp\nu1,locA,1.0,2.0,100\nu1,locA,9.0,9.0,200\n")
     with pytest.raises(ValueError):
         load_checkins(path)
+
+
+def test_load_checkins_ignores_description_column(tmp_path):
+    rows = [("u1", "locA", "1.0", "2.0", "100", "cafe"), ("u1", "locB", "3.0", "4.0", "200", "park")]
+    rows.append(("u2", "locA", "1.0", "2.0", "300", "a different text for the same place"))
+    plain, described = tmp_path / "plain.csv", tmp_path / "described.csv"
+    plain.write_text("user,location,x,y,timestamp\n" + "".join(",".join(r[:5]) + "\n" for r in rows))
+    described.write_text("user,location,x,y,timestamp,description\n" + "".join(",".join(r) + "\n" for r in rows))
+    plain_records, plain_index = load_checkins(plain)
+    described_records, described_index = load_checkins(described)
+    assert plain_records == described_records
+    assert plain_index.content_hash() == described_index.content_hash()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ HOUR = 3600
 
 def make_index(n: int) -> LocationIndex:
     locs = [
-        Location(id=f"L{i}", semantics=f"place {i}", centroid=GeoPoint(float(i), float(-i)))
+        Location(id=f"L{i}", centroid=GeoPoint(float(i), float(-i)))
         for i in range(n)
     ]
     return LocationIndex(locs)
