@@ -62,8 +62,6 @@ class HashedNgramEmbedder:
     a sign. Identical text always yields an identical vector.
     """
 
-    mode = "hashed-ngram"
-
     def __init__(self, dim: int = 512):
         if dim < 2:
             raise ValueError(f"text dimension must be >= 2, got {dim}")
@@ -124,10 +122,6 @@ def infonce_loss(z_loc: Tensor, z_text: Tensor, tau: float = 0.07) -> Tensor:
     two directional cross-entropies (location->text and text->location) is
     returned. A single pair gives exactly zero; equal rows give ln N.
     """
-    if not isinstance(z_loc, Tensor):
-        z_loc = Tensor(z_loc)
-    if not isinstance(z_text, Tensor):
-        z_text = Tensor(z_text)
     if z_loc.ndim != 2 or z_text.ndim != 2 or z_loc.shape != z_text.shape:
         raise ShapeError(f"infonce_loss: need matching (N, d) inputs, got {z_loc.shape} and {z_text.shape}")
     n = z_loc.shape[0]
@@ -236,7 +230,6 @@ class CaLLiPerModel:
             "grid": self.grid.to_dict(),
             "embed_dim": self.embed_dim,
             "hidden_dim": self.net.hidden,
-            "text_mode": self.text_embedder.mode,
             "text_dim": self.text_embedder.dim,
         }
         if extra_meta:
@@ -246,8 +239,6 @@ class CaLLiPerModel:
     @classmethod
     def load(cls, path, manifest_digest: str | None = None) -> "CaLLiPerModel":
         params, meta = load_checkpoint(path, kind="calliper", manifest_digest=manifest_digest)
-        if meta["text_mode"] != HashedNgramEmbedder.mode:
-            raise ValueError(f"{path}: checkpoint used text mode {meta['text_mode']!r}, which this package cannot rebuild")
         model = cls(
             GridSpec.from_dict(meta["grid"]),
             HashedNgramEmbedder(meta["text_dim"]),

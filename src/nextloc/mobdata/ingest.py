@@ -15,18 +15,21 @@ from nextloc.mobdata.model import Location, LocationIndex, VisitRecord
 
 
 def _parse_timestamp(raw: str) -> int:
+    """Seconds since the epoch; later stages hold them as int64, so values past its range are refused."""
     text = raw.strip()
     try:
-        return int(float(text))
+        t = int(float(text))
     except (ValueError, OverflowError):
-        pass
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise ValueError(f"unknown timestamp format: {raw!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+        try:
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise ValueError(f"unknown timestamp format: {raw!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        t = int(dt.timestamp())
+    if not -(2**63) <= t < 2**63:
+        raise ValueError(f"timestamp out of range: {raw!r}")
+    return t
 
 
 def load_checkins(path) -> tuple[list[VisitRecord], LocationIndex]:

@@ -268,10 +268,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _from_op(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; callers apply it in training only."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
@@ -348,37 +349,22 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return _from_op(x.data.transpose(axes), (x,), back)
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a if a >= 0 else len(shape) + a for a in axes)
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def back(g, accum):
-        accum(x, _expand_reduced(np.asarray(g), x.shape, axis, keepdims))
-
-    return _from_op(x.data.sum(axis=axis, keepdims=keepdims), (x,), back)
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = x.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for a in axes:
-            count *= x.shape[a]
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every element, as a scalar."""
 
     def back(g, accum):
-        accum(x, _expand_reduced(np.asarray(g), x.shape, axis, keepdims) / count)
+        accum(x, np.broadcast_to(g, x.shape))
 
-    return _from_op(x.data.mean(axis=axis, keepdims=keepdims), (x,), back)
+    return _from_op(x.data.sum(), (x,), back)
+
+
+def tmean(x: Tensor) -> Tensor:
+    """Mean of every element, as a scalar."""
+
+    def back(g, accum):
+        accum(x, np.broadcast_to(g, x.shape) / x.data.size)
+
+    return _from_op(x.data.mean(), (x,), back)
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -403,12 +389,11 @@ def multi_head_attention(
     bv: Tensor,
     wo: Tensor,
     bo: Tensor,
-    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention over (batch, time, d) with h heads.
+    """Causal scaled dot-product attention over (batch, time, d) with h heads.
 
-    mask, if given, is an additive score offset broadcastable to
-    (batch, heads, time, time); use large negative values to block positions.
+    Position i attends to positions 0..i only, so with left-aligned sequences
+    no real position reads padding.
     """
     if x.ndim != 3:
         raise ShapeError(f"multi_head_attention: input must be (batch, time, d), got {x.shape}")
@@ -427,8 +412,7 @@ def multi_head_attention(
     k = split_heads(linear(x, wk, bk))
     v = split_heads(linear(x, wv, bv))
     scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    if mask is not None:
-        scores = add(scores, Tensor(np.asarray(mask, dtype=np.float64)))
+    scores = add(scores, Tensor(np.triu(np.full((t, t), -1e30), 1)))
     attn = softmax(scores)
     ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, t, d))
     return linear(ctx, wo, bo)

@@ -44,7 +44,6 @@ from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
 from nextloc.util import make_rng
 
 UNKNOWN_USER = "<unknown>"
-MASK_VALUE = -1e30
 
 
 @dataclass(frozen=True)
@@ -176,12 +175,6 @@ class NextLocPredictor:
         targets = np.array([class_of(s.target_location) for s in sequences], dtype=np.int64)
         return Features(loc_idx, tod, dow, users, lengths, targets)
 
-    def _attention_mask(self, lengths: np.ndarray, t_max: int) -> np.ndarray:
-        causal = np.tril(np.ones((t_max, t_max), dtype=bool))
-        valid_key = np.arange(t_max)[None, :] < lengths[:, None]  # (B, T)
-        allowed = causal[None, :, :] & valid_key[:, None, :]
-        return np.where(allowed, 0.0, MASK_VALUE)[:, None, :, :]
-
     # ------------------------------------------------------------------
     # forward
 
@@ -190,17 +183,15 @@ class NextLocPredictor:
             raise ValueError("empty batch")
         cfg = self.cfg
         b, t_max = batch.loc_idx.shape
-        flat = batch.loc_idx.reshape(-1)
-        loc_vecs = reshape(gather_rows(self.loc_matrix, flat), (b, t_max, self.emb_dim))
-        tod_vecs = reshape(gather_rows(self.store["tod_emb"], batch.tod.reshape(-1)), (b, t_max, cfg.time_dim))
-        dow_vecs = reshape(gather_rows(self.store["dow_emb"], batch.dow.reshape(-1)), (b, t_max, cfg.dow_dim))
-        user_rows = np.repeat(batch.users, t_max)
-        user_vecs = reshape(gather_rows(self.store["user_emb"], user_rows), (b, t_max, cfg.user_dim))
+        loc_vecs = gather_rows(self.loc_matrix, batch.loc_idx)
+        tod_vecs = gather_rows(self.store["tod_emb"], batch.tod)
+        dow_vecs = gather_rows(self.store["dow_emb"], batch.dow)
+        user_vecs = gather_rows(self.store["user_emb"], np.broadcast_to(batch.users[:, None], (b, t_max)))
         x = matmul(concat([loc_vecs, tod_vecs, dow_vecs, user_vecs], axis=-1), self.store["in_proj.w"])
         x = add(x, self.store["in_proj.b"])
         x = add(x, gather_rows(self.store["pos_emb"], np.arange(t_max)))
 
-        mask = self._attention_mask(batch.lengths, t_max)
+        # attention is causal and contexts are left-aligned, so no real position reads padding
         for l in range(cfg.layers):
             p = f"layer{l}"
             normed = layer_norm(x, self.store[f"{p}.ln1.g"], self.store[f"{p}.ln1.b"])
@@ -211,16 +202,15 @@ class NextLocPredictor:
                 self.store[f"{p}.attn.wk"], self.store[f"{p}.attn.bk"],
                 self.store[f"{p}.attn.wv"], self.store[f"{p}.attn.bv"],
                 self.store[f"{p}.attn.wo"], self.store[f"{p}.attn.bo"],
-                mask=mask,
             )
-            if training and rng is not None:
-                attended = dropout(attended, cfg.dropout, rng, training=True)
+            if training:
+                attended = dropout(attended, cfg.dropout, rng)
             x = add(x, attended)
             normed = layer_norm(x, self.store[f"{p}.ln2.g"], self.store[f"{p}.ln2.b"])
             ff = relu(add(matmul(normed, self.store[f"{p}.ff.w1"]), self.store[f"{p}.ff.b1"]))
             ff = add(matmul(ff, self.store[f"{p}.ff.w2"]), self.store[f"{p}.ff.b2"])
-            if training and rng is not None:
-                ff = dropout(ff, cfg.dropout, rng, training=True)
+            if training:
+                ff = dropout(ff, cfg.dropout, rng)
             x = add(x, ff)
         x = layer_norm(x, self.store["final_ln.g"], self.store["final_ln.b"])
         final_pos = np.arange(b) * t_max + (batch.lengths - 1)

@@ -89,6 +89,22 @@ def test_load_checkins_rejects_unknown_timestamp(tmp_path):
         assert str(err.value) == f"{path}:2: unknown timestamp format: {stamp!r}"
 
 
+def test_load_checkins_rejects_timestamps_past_int64(tmp_path):
+    path = tmp_path / "checkins.csv"
+    for stamp in ("1e19", "-1e19", "9.3e18"):
+        path.write_text(f"user,location,x,y,timestamp\nu1,locA,1.0,2.0,100\nu1,locB,2.0,3.0,{stamp}\n")
+        with pytest.raises(ValueError) as err:
+            load_checkins(path)
+        assert str(err.value) == f"{path}:3: timestamp out of range: {stamp!r}"
+
+
+def test_load_checkins_accepts_negative_timestamps(tmp_path):
+    path = tmp_path / "checkins.csv"
+    path.write_text("user,location,x,y,timestamp\nu1,locA,1.0,2.0,-86400\nu1,locB,2.0,3.0,-9.2e18\n")
+    records, _ = load_checkins(path)
+    assert [r.t for r in records] == [-9200000000000000000, -86400]
+
+
 def test_load_checkins_iso_timestamps(tmp_path):
     path = tmp_path / "checkins.csv"
     path.write_text(

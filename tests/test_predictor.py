@@ -1,5 +1,7 @@
 """Tests for the next-location transformer predictor."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from nextloc.baselines import VanillaE2EEmbedder
 from nextloc.geoenc import GeoPoint
 from nextloc.mobdata.model import DatasetSplit, Location, LocationIndex, MobilitySequence
-from nextloc.numcore import cross_entropy, finite_difference_check
+from nextloc.numcore import backward, cross_entropy, finite_difference_check
 from nextloc.numcore.checkpoint import save_checkpoint
 from nextloc.predictor import NextLocPredictor, PredictorConfig
 from nextloc.util import make_rng
@@ -110,6 +112,40 @@ def test_unknown_users_share_one_embedding_row():
     # and differs from a known user's prediction in general
     p3 = model.predict_proba([seq("alice", context, "L3")])[0]
     assert not np.array_equal(p1, p3)
+
+
+def test_padded_cells_change_nothing():
+    """Causal attention over left-aligned contexts never reads a padded cell, forward or backward."""
+    cfg = tiny_config(layers=2, dropout=0.3, hour_buckets=6)
+    model = make_predictor(n_locs=6, cfg=cfg)
+    feats = model._featurize([
+        seq("u1", ["L0", "L1", "L2", "L3"], "L4"),
+        seq("u2", ["L5"], "L0"),
+        seq("u1", ["L2", "L4"], "L1"),
+    ])
+    padded = np.arange(feats.loc_idx.shape[1])[None, :] >= feats.lengths[:, None]
+    assert padded.any() and not padded.all()
+    rng = np.random.default_rng(9)
+
+    def fill(col, n):
+        return np.where(padded, rng.integers(1, n, col.shape), col)
+
+    other = replace(feats, loc_idx=fill(feats.loc_idx, 6), tod=fill(feats.tod, 6), dow=fill(feats.dow, 7))
+    assert not np.array_equal(other.loc_idx, feats.loc_idx)
+
+    np.testing.assert_array_equal(model.forward_logits(other).data, model.forward_logits(feats).data)
+
+    def train_step(f):
+        loss = cross_entropy(model.forward_logits(f, training=True, rng=make_rng(4, "pad")), f.targets)
+        backward(loss, params=model.store.tensors())
+        return loss.item(), {name: t.grad.copy() for name, t in model.store.items()}
+
+    loss, grads = train_step(feats)
+    other_loss, other_grads = train_step(other)
+    assert other_loss == loss
+    assert grads.keys() == other_grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(other_grads[name], grads[name], err_msg=name)
 
 
 # ----------------------------------------------------------------------
