@@ -11,27 +11,33 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# One OpenBLAS thread unless the caller sets one: at this package's matrix
+# shapes a second thread costs CPU time and saves no wall time. OpenBLAS
+# reads the variable once, when numpy loads, so this runs before that.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from nextloc.baselines import (
+import numpy as np  # noqa: E402
+
+from nextloc.baselines import (  # noqa: E402
     CalliperEmbedder,
     SkipgramEmbedder,
     VanillaE2EEmbedder,
     skipgram_pretrain,
 )
-from nextloc.calliper import CaLLiPerModel, HashedNgramEmbedder, read_poi_file
-from nextloc.config import (
+from nextloc.calliper import CaLLiPerModel, HashedNgramEmbedder, read_poi_file  # noqa: E402
+from nextloc.config import (  # noqa: E402
     EMBEDDER_KINDS,
     ExperimentConfig,
     load_config,
     save_config,
     synthetic_desk_config,
 )
-from nextloc.evaluation import (
+from nextloc.evaluation import (  # noqa: E402
     METRIC_NAMES,
     format_comparison,
     format_report,
@@ -41,7 +47,7 @@ from nextloc.evaluation import (
     ranks_from_scores,
     run_experiment,
 )
-from nextloc.mobdata import (
+from nextloc.mobdata import (  # noqa: E402
     DatasetSplit,
     LocationIndex,
     apply_split_manifest,
@@ -56,9 +62,9 @@ from nextloc.mobdata import (
     write_sequences,
     write_split_manifest,
 )
-from nextloc.numcore.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from nextloc.predictor import NextLocPredictor
-from nextloc.util import make_rng, stable_json, write_atomic
+from nextloc.numcore.checkpoint import CheckpointError, load_checkpoint, save_checkpoint  # noqa: E402
+from nextloc.predictor import NextLocPredictor  # noqa: E402
+from nextloc.util import make_rng, stable_json, write_atomic  # noqa: E402
 
 # ----------------------------------------------------------------------
 # run plan and artifact names

@@ -2,7 +2,8 @@
 
 State lives outside the parameters so the same store can be driven by a
 fresh optimizer (e.g. when fine-tuning resumes). Updates run in sorted
-parameter-name order for reproducibility.
+parameter-name order for reproducibility, and in place: moments and
+parameter arrays keep their memory between steps.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ class AdamState:
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+        # two scratch arrays as large as the largest parameter hold the update terms
+        size = max((t.data.size for _, t in store.items()), default=0)
+        self.scratch = (np.empty(size), np.empty(size))
 
 
 def adam_step(store: ParameterStore, state: AdamState) -> None:
@@ -47,13 +51,29 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step_count
     bias2 = 1.0 - b2 ** state.step_count
+    # in place, one numpy op per operation of
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+    #   data = data - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    # in that order, so every value equals that expression's bit for bit
     for name, t in store.items():
         g = t.grad
         m = state.m[name]
         v = state.v[name]
+        step = state.scratch[0][: g.size].reshape(g.shape)
+        denom = state.scratch[1][: g.size].reshape(g.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        t.data = t.data - state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v += step
+        np.divide(m, bias1, out=step)
+        step *= state.lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        t.data -= step
+        # a fresh array: backward may hand one gradient array to several parameters
         t.grad = np.zeros_like(t.data)

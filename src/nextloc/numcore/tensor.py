@@ -154,8 +154,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
 
     def back(g, accum):
-        accum(a, _unbroadcast(g, a.shape))
-        accum(b, _unbroadcast(g, b.shape))
+        if a._tracked:
+            accum(a, _unbroadcast(g, a.shape))
+        if b._tracked:
+            accum(b, _unbroadcast(g, b.shape))
 
     return _from_op(a.data + b.data, (a, b), back)
 
@@ -189,9 +191,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: batch dimensions incompatible for shapes {a.shape} and {b.shape}") from None
 
+    if b.ndim == 2:
+        # (..., d) @ (d, k) is one 2-d GEMM over the flattened leading axes,
+        # forward and backward; numpy would run one GEMM per leading index
+        rows = math.prod(a.shape[:-1])
+        a2 = a.data.reshape(rows, a.shape[-1])
+
+        def back_linear(g, accum):
+            g2 = g.reshape(rows, b.shape[1])
+            if a._tracked:
+                accum(a, (g2 @ b.data.T).reshape(a.shape))
+            if b._tracked:
+                accum(b, a2.T @ g2)
+
+        return _from_op((a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:]), (a, b), back_linear)
+
     def back(g, accum):
-        accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a._tracked:
+            accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b._tracked:
+            accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _from_op(a.data @ b.data, (a, b), back)
 

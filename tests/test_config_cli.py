@@ -1,7 +1,10 @@
 """Tests for the experiment config and the command-line pipeline."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -532,3 +535,16 @@ def test_evaluate_without_held_out_targets_writes_nothing(tmp_path, capsys):
 def test_argparse_requires_config():
     with pytest.raises(SystemExit):
         main(["preprocess"])
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_cli_defaults_openblas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(nextloc.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = "import os, nextloc.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected

@@ -199,6 +199,46 @@ def test_broadcast_bias_gradient_sums_over_batch():
     np.testing.assert_array_equal(b.grad, [5.0, 5.0, 5.0])
 
 
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+    rows=st.integers(1, 5),
+    d=st.integers(1, 6),
+    k=st.integers(1, 6),
+    track_a=st.booleans(),
+    track_b=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_matmul_matches_batched_reference(lead, rows, d, k, track_a, track_b, seed):
+    rng = np.random.default_rng(seed)
+    a_data = rng.standard_normal((*lead, rows, d))
+    b_data = rng.standard_normal((d, k))
+    upstream = rng.standard_normal((*lead, rows, k))
+    a = Tensor(a_data, requires_grad=track_a)
+    b = Tensor(b_data, requires_grad=track_b)
+    out = matmul(a, b)
+
+    def close(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    close(out.data, a_data @ b_data)
+    loss = tsum(mul(out, Tensor(upstream)))
+    if not (track_a or track_b):
+        with pytest.raises(GraphError):
+            backward(loss)
+        return
+    backward(loss)
+    if track_a:
+        close(a.grad, upstream @ b_data.T)
+    else:
+        assert a.grad is None
+    if track_b:
+        batched = np.swapaxes(a_data, -1, -2) @ upstream
+        close(b.grad, batched.sum(axis=tuple(range(len(lead)))))
+    else:
+        assert b.grad is None
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks per op (the gradient oracle)
 
@@ -229,6 +269,19 @@ def test_fd_matmul_batched():
 
     def build():
         return tmean(matmul(a, w))
+
+    fd_check(build, store)
+
+
+def test_fd_matmul_sequence_linear():
+    rng = np.random.default_rng(12)
+    store = ParameterStore()
+    x = store.add("x", rng.standard_normal((3, 4, 5)))
+    w = store.add("w", rng.standard_normal((5, 2)))
+
+    def build():
+        y = matmul(x, w)
+        return tmean(mul(y, y))
 
     fd_check(build, store)
 
@@ -390,6 +443,46 @@ def test_adam_clears_gradients_after_step():
     adam_step(store, state)
     np.testing.assert_array_equal(p.grad, np.zeros(1))
     assert state.step_count == 1
+
+
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=0, max_size=3),
+    n_params=st.integers(1, 3),
+    steps=st.integers(1, 5),
+    shared_grad=st.booleans(),
+    lr=st.floats(1e-4, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_adam_step_is_the_textbook_update_in_place(shape, n_params, steps, shared_grad, lr, seed):
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    params = [store.add(f"p{i}", rng.standard_normal(shape)) for i in range(n_params)]
+    state = AdamState(store, lr=lr)
+    m = [np.zeros(shape) for _ in params]
+    v = [np.zeros(shape) for _ in params]
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    for step in range(1, steps + 1):
+        # add's backward hands one array to both operands, so gradients can alias
+        grads = [rng.standard_normal(shape)] * n_params if shared_grad else [rng.standard_normal(shape) for _ in params]
+        grads_before = [g.copy() for g in grads]
+        arrays = [p.data for p in params]
+        expected = []
+        bias1 = 1.0 - b1**step
+        bias2 = 1.0 - b2**step
+        for i, (p, g) in enumerate(zip(params, grads)):
+            p.grad = g
+            m[i] *= b1
+            m[i] += (1.0 - b1) * g
+            v[i] *= b2
+            v[i] += (1.0 - b2) * (g * g)
+            expected.append(p.data - lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + eps))
+        adam_step(store, state)
+        for p, array, want, g, g_before in zip(params, arrays, expected, grads, grads_before):
+            np.testing.assert_array_equal(p.data, want)
+            assert p.data is array
+            np.testing.assert_array_equal(g, g_before)
+            assert p.grad is not g
 
 
 def test_training_loop_is_bit_deterministic():
