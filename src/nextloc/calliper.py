@@ -32,6 +32,7 @@ from nextloc.numcore import (
     cross_entropy,
     l2_normalize,
     matmul,
+    no_graph,
     scale,
     transpose,
 )
@@ -175,12 +176,14 @@ class CaLLiPerModel:
 
     def encode_location(self, p) -> np.ndarray:
         """Embed one GeoPoint (d,) or an (N, 2) coordinate array (N, d)."""
-        if isinstance(p, GeoPoint):
-            return self._loc_tensor(np.array([[p.x, p.y]])).data[0]
-        return self._loc_tensor(np.asarray(p, dtype=np.float64)).data
+        with no_graph():
+            if isinstance(p, GeoPoint):
+                return self._loc_tensor(np.array([[p.x, p.y]])).data[0]
+            return self._loc_tensor(np.asarray(p, dtype=np.float64)).data
 
     def embed_text(self, description: str) -> np.ndarray:
-        return self._project(self.text_embedder.embed_batch([description])).data[0]
+        with no_graph():
+            return self._project(self.text_embedder.embed_batch([description])).data[0]
 
     def _loc_tensor(self, coords: np.ndarray) -> Tensor:
         return self.net.forward(grid_pe_batch(coords, self.grid))

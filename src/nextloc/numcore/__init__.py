@@ -20,6 +20,7 @@ from nextloc.numcore.tensor import (
     matmul,
     mul,
     multi_head_attention,
+    no_graph,
     relu,
     reshape,
     scale,
@@ -56,6 +57,7 @@ __all__ = [
     "matmul",
     "mul",
     "multi_head_attention",
+    "no_graph",
     "relu",
     "reshape",
     "save_checkpoint",

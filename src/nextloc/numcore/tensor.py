@@ -4,7 +4,8 @@ A Tensor wraps an ndarray plus an optional record of the operation that
 produced it. Each operation builds the output value eagerly with numpy and
 attaches a closure that routes upstream gradients to its inputs. backward()
 walks the recorded graph once, in reverse topological order, and deposits
-gradients on the leaf tensors that requested them.
+gradients on the leaf tensors that requested them. Inside no_graph() nothing
+is recorded, so a forward's intermediates are freed as soon as they are dead.
 
 The operation set is deliberately small: exactly the pieces needed by the
 encoders, the contrastive loss, and the sequence predictor in this package.
@@ -13,6 +14,7 @@ Everything is float64; there is no device or dtype dispatch.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -58,8 +60,29 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+# one flag per process: no code in this package runs ops from two threads
+_recording = True
+
+
+@contextlib.contextmanager
+def no_graph():
+    """Record no graph inside the block: op outputs have no parents and no backward.
+
+    For forwards whose result no backward() reads (inference, validation).
+    The values computed are the same as with recording on.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
+    if not _recording:
+        return out
     tracked = tuple(p for p in parents if p._tracked)
     if tracked:
         out._parents = tracked

@@ -36,6 +36,7 @@ from nextloc.numcore import (
     layer_norm,
     matmul,
     multi_head_attention,
+    no_graph,
     relu,
     reshape,
     softmax,
@@ -220,9 +221,10 @@ class NextLocPredictor:
     def predict_proba(self, sequences: list[MobilitySequence], batch_size: int = 256) -> np.ndarray:
         feats = self._featurize(sequences)
         out = np.zeros((len(feats), len(self.index)))
-        for start in range(0, len(feats), batch_size):
-            rows = slice(start, start + batch_size)
-            out[rows] = softmax(self.forward_logits(feats[rows])).data
+        with no_graph():
+            for start in range(0, len(feats), batch_size):
+                rows = slice(start, start + batch_size)
+                out[rows] = softmax(self.forward_logits(feats[rows])).data
         return out
 
     # ------------------------------------------------------------------
@@ -230,9 +232,10 @@ class NextLocPredictor:
 
     def _epoch_loss(self, feats: Features, batch_size: int) -> float:
         total = 0.0
-        for start in range(0, len(feats), batch_size):
-            batch = feats[start : start + batch_size]
-            total += cross_entropy(self.forward_logits(batch), batch.targets).item() * len(batch)
+        with no_graph():
+            for start in range(0, len(feats), batch_size):
+                batch = feats[start : start + batch_size]
+                total += cross_entropy(self.forward_logits(batch), batch.targets).item() * len(batch)
         return total / len(feats)
 
     def train(

@@ -26,6 +26,7 @@ from nextloc.numcore import (
     matmul,
     mul,
     multi_head_attention,
+    no_graph,
     relu,
     reshape,
     save_checkpoint,
@@ -237,6 +238,81 @@ def test_matmul_matches_batched_reference(lead, rows, d, k, track_a, track_b, se
         close(b.grad, batched.sum(axis=tuple(range(len(lead)))))
     else:
         assert b.grad is None
+
+
+# ---------------------------------------------------------------------------
+# no_graph: the same forward values, nothing recorded
+
+# op name -> build(rng, rows, d) from requires_grad leaves; rng also draws indices and masks
+NO_GRAPH_OPS = {
+    "add": lambda rng, r, d: add(rand(rng, r, d), rand(rng, d)),
+    "mul": lambda rng, r, d: mul(rand(rng, r, d), rand(rng, r, d)),
+    "scale": lambda rng, r, d: scale(rand(rng, r, d), 0.37),
+    "matmul_2d": lambda rng, r, d: matmul(rand(rng, r, d), rand(rng, d, 3)),
+    "matmul_linear": lambda rng, r, d: matmul(rand(rng, 2, r, d), rand(rng, d, 3)),
+    "matmul_batched": lambda rng, r, d: matmul(rand(rng, 2, r, d), rand(rng, 2, d, 3)),
+    "relu": lambda rng, r, d: relu(rand(rng, r, d)),
+    "softmax": lambda rng, r, d: softmax(rand(rng, r, d)),
+    "cross_entropy": lambda rng, r, d: cross_entropy(rand(rng, r, d), rng.integers(0, d, r)),
+    "layer_norm": lambda rng, r, d: layer_norm(rand(rng, r, d), rand(rng, d), rand(rng, d)),
+    "dropout": lambda rng, r, d: dropout(rand(rng, r, d), 0.3, rng),
+    "concat": lambda rng, r, d: concat([rand(rng, r, d), rand(rng, r, 2)], axis=-1),
+    "gather_rows": lambda rng, r, d: gather_rows(rand(rng, r, d), rng.integers(0, r, (2, 3))),
+    "reshape": lambda rng, r, d: reshape(rand(rng, r, d), (d, r)),
+    "transpose": lambda rng, r, d: transpose(rand(rng, r, d)),
+    "tsum": lambda rng, r, d: tsum(rand(rng, r, d)),
+    "tmean": lambda rng, r, d: tmean(rand(rng, r, d)),
+    "l2_normalize": lambda rng, r, d: l2_normalize(rand(rng, r, d)),
+    "multi_head_attention": lambda rng, r, d: multi_head_attention(  # weight, bias for q, k, v, out
+        rand(rng, 2, r, 4), 2, *(rand(rng, 4, 4) if i % 2 == 0 else rand(rng, 4) for i in range(8))
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(NO_GRAPH_OPS))
+@given(rows=st.integers(1, 4), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_no_graph_same_values_and_no_record(op, rows, d, seed):
+    build = NO_GRAPH_OPS[op]
+    recorded = build(np.random.default_rng(seed), rows, d)
+    assert recorded._backward is not None
+    with no_graph():
+        bare = build(np.random.default_rng(seed), rows, d)
+    np.testing.assert_array_equal(bare.data, recorded.data)
+    assert bare._parents == ()
+    assert bare._backward is None
+    with pytest.raises(GraphError, match="no recorded computation"):
+        backward(bare if bare.shape == () else tsum(bare))
+
+
+def _records() -> bool:
+    return add(rand(np.random.default_rng(0), 2), Tensor(np.ones(2)))._backward is not None
+
+
+def _mlp_grads():
+    rng = np.random.default_rng(31)
+    w1, w2, x = rand(rng, 3, 4), rand(rng, 4, 2), Tensor(rng.standard_normal((5, 3)))
+    backward(cross_entropy(matmul(relu(matmul(x, w1)), w2), np.array([0, 1, 1, 0, 1])))
+    return w1.grad, w2.grad
+
+
+def test_no_graph_restores_recording_after_exit_error_and_nesting():
+    before = _mlp_grads()
+    assert _records()
+    with no_graph():
+        assert not _records()
+    assert _records()
+    with pytest.raises(KeyError):
+        with no_graph():
+            raise KeyError("inside")
+    assert _records()
+    with no_graph():
+        with no_graph():
+            assert not _records()
+        assert not _records()
+    assert _records()
+    for got, want in zip(_mlp_grads(), before):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nextloc.baselines import VanillaE2EEmbedder
 from nextloc.geoenc import GeoPoint
 from nextloc.mobdata.model import DatasetSplit, Location, LocationIndex, MobilitySequence
-from nextloc.numcore import backward, cross_entropy, finite_difference_check
+from nextloc.numcore import backward, cross_entropy, finite_difference_check, softmax
 from nextloc.numcore.checkpoint import save_checkpoint
 from nextloc.predictor import NextLocPredictor, PredictorConfig
 from nextloc.util import make_rng
@@ -101,6 +101,42 @@ def test_predict_proba_matches_single_forward():
     assert stacked.shape == (2, 4)
     np.testing.assert_allclose(stacked[0], model.predict_proba([batch[0]])[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(stacked[1], model.predict_proba([batch[1]])[0], rtol=1e-12, atol=1e-12)
+
+
+def mixed_sequences(n: int) -> list[MobilitySequence]:
+    rng = np.random.default_rng(n)
+    return [
+        seq(f"u{1 + i % 2}", [f"L{j}" for j in rng.integers(0, 6, 1 + i % 5)], f"L{rng.integers(0, 6)}", t0=i * 7 * HOUR)
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 7, 64])
+def test_predict_proba_equals_recorded_forward(batch_size):
+    model = make_predictor(n_locs=6, cfg=tiny_config(layers=2))
+    sequences = mixed_sequences(11)
+    feats = model._featurize(sequences)
+    recorded = np.concatenate([
+        softmax(model.forward_logits(feats[start : start + batch_size])).data
+        for start in range(0, len(feats), batch_size)
+    ])
+    np.testing.assert_array_equal(model.predict_proba(sequences, batch_size=batch_size), recorded)
+
+
+def test_validation_loss_equals_recorded_loss_and_leaves_training_recording():
+    model = make_predictor(n_locs=6, cfg=tiny_config(layers=2, dropout=0.2))
+    feats = model._featurize(mixed_sequences(9))
+    total = 0.0
+    for start in range(0, len(feats), 4):
+        batch = feats[start : start + 4]
+        total += cross_entropy(model.forward_logits(batch), batch.targets).item() * len(batch)
+    assert model._epoch_loss(feats, 4) == total / len(feats)
+
+    params = model.store.tensors()
+    loss = cross_entropy(model.forward_logits(feats, training=True, rng=make_rng(0, "leak")), feats.targets)
+    backward(loss, params=params)
+    for name, t in model.store.items():
+        assert t.grad is not None and np.any(t.grad != 0.0), name
 
 
 def test_unknown_users_share_one_embedding_row():
