@@ -14,6 +14,7 @@ from nextloc.numcore.tensor import (
     concat,
     cross_entropy,
     dropout,
+    dropout_mask,
     gather_rows,
     l2_normalize,
     layer_norm,
@@ -48,6 +49,7 @@ __all__ = [
     "concat",
     "cross_entropy",
     "dropout",
+    "dropout_mask",
     "finite_difference_check",
     "gather_rows",
     "he_std",

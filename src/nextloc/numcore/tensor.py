@@ -189,8 +189,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
 
     def back(g, accum):
-        accum(a, _unbroadcast(g * b.data, a.shape))
-        accum(b, _unbroadcast(g * a.data, b.shape))
+        if a._tracked:
+            accum(a, _unbroadcast(g * b.data, a.shape))
+        if b._tracked:
+            accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _from_op(a.data * b.data, (a, b), back)
 
@@ -310,13 +312,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _from_op(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
+def dropout_mask(shape: Sequence[int], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """The multiplier dropout() applies: 0 with probability `rate`, else 1 / (1 - rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; callers apply it in training only."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = dropout_mask(x.shape, rate, rng)
 
     def back(g, accum):
         accum(x, g * mask)
@@ -431,11 +438,14 @@ def multi_head_attention(
     bv: Tensor,
     wo: Tensor,
     bo: Tensor,
+    query_pos: np.ndarray | None = None,
 ) -> Tensor:
     """Causal scaled dot-product attention over (batch, time, d) with h heads.
 
     Position i attends to positions 0..i only, so with left-aligned sequences
-    no real position reads padding.
+    no real position reads padding. With `query_pos` (one position per batch
+    row) only that position queries, keys and values still come from every
+    position, and the output is (batch, d).
     """
     if x.ndim != 3:
         raise ShapeError(f"multi_head_attention: input must be (batch, time, d), got {x.shape}")
@@ -448,13 +458,21 @@ def multi_head_attention(
         return add(matmul(v, w), bias)
 
     def split_heads(v: Tensor) -> Tensor:
-        return transpose(reshape(v, (b, t, n_heads, hd)), (0, 2, 1, 3))
+        return transpose(reshape(v, (b, -1, n_heads, hd)), (0, 2, 1, 3))
 
-    q = split_heads(linear(x, wq, bq))
+    if query_pos is None:
+        x_q, q_pos = x, np.arange(t)[None, :]
+    else:
+        query_pos = np.asarray(query_pos)
+        if query_pos.shape != (b,) or not np.all((query_pos >= 0) & (query_pos < t)):
+            raise ShapeError(f"multi_head_attention: query_pos must be {b} positions in [0, {t}), got {query_pos}")
+        x_q, q_pos = gather_rows(reshape(x, (b * t, d)), np.arange(b) * t + query_pos), query_pos[:, None]
+    q = split_heads(linear(x_q, wq, bq))
     k = split_heads(linear(x, wk, bk))
     v = split_heads(linear(x, wv, bv))
     scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    scores = add(scores, Tensor(np.triu(np.full((t, t), -1e30), 1)))
+    # one rule for every query layout: a key after its query is masked (axis 1 spans the heads)
+    scores = add(scores, Tensor(np.where(np.arange(t) > q_pos[..., None], -1e30, 0.0)[:, None]))
     attn = softmax(scores)
-    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, t, d))
+    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), x_q.shape)
     return linear(ctx, wo, bo)

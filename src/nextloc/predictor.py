@@ -4,7 +4,12 @@ A causal transformer encoder reads the embedded context visits (location
 embedding concatenated with learned time-of-day, day-of-week, and user
 features, linearly mapped to the model width, plus learned positions). The
 final position's hidden state goes through a fully connected head and a
-softmax over every class in the LocationIndex. Trained with cross-entropy
+softmax over every class in the LocationIndex. That state is all the head
+reads, so the last layer takes keys and values from every position but
+computes its query, feed-forward and norms on each sequence's final row
+only: desk-train's benchmark trains 1,580 sequences/s instead of 1,134
+on a 2-core VM (medians of 10 runs; the README has the other numbers).
+Trained with cross-entropy
 and early stopping on validation loss; the best-validation parameters are
 restored at the end.
 
@@ -31,10 +36,12 @@ from nextloc.numcore import (
     concat,
     cross_entropy,
     dropout,
+    dropout_mask,
     gather_rows,
     he_std,
     layer_norm,
     matmul,
+    mul,
     multi_head_attention,
     no_graph,
     relu,
@@ -192,9 +199,21 @@ class NextLocPredictor:
         x = add(x, self.store["in_proj.b"])
         x = add(x, gather_rows(self.store["pos_emb"], np.arange(t_max)))
 
-        # attention is causal and contexts are left-aligned, so no real position reads padding
+        last = batch.lengths - 1
+
+        def drop(h: Tensor) -> Tensor:
+            if not training or cfg.dropout == 0.0:
+                return h
+            if h.ndim == 3:
+                return dropout(h, cfg.dropout, rng)
+            # the final rows of the mask every position would draw, so the rng stream stays the same
+            return mul(h, Tensor(dropout_mask((b, t_max, cfg.d_model), cfg.dropout, rng)[np.arange(b), last]))
+
+        # attention is causal and contexts are left-aligned, so no real position reads padding;
+        # the head reads only each sequence's final position, so the last layer computes only that row
         for l in range(cfg.layers):
             p = f"layer{l}"
+            final = l == cfg.layers - 1
             normed = layer_norm(x, self.store[f"{p}.ln1.g"], self.store[f"{p}.ln1.b"])
             attended = multi_head_attention(
                 normed,
@@ -203,20 +222,17 @@ class NextLocPredictor:
                 self.store[f"{p}.attn.wk"], self.store[f"{p}.attn.bk"],
                 self.store[f"{p}.attn.wv"], self.store[f"{p}.attn.bv"],
                 self.store[f"{p}.attn.wo"], self.store[f"{p}.attn.bo"],
+                query_pos=last if final else None,
             )
-            if training:
-                attended = dropout(attended, cfg.dropout, rng)
-            x = add(x, attended)
+            if final:
+                x = gather_rows(reshape(x, (b * t_max, cfg.d_model)), np.arange(b) * t_max + last)
+            x = add(x, drop(attended))
             normed = layer_norm(x, self.store[f"{p}.ln2.g"], self.store[f"{p}.ln2.b"])
             ff = relu(add(matmul(normed, self.store[f"{p}.ff.w1"]), self.store[f"{p}.ff.b1"]))
             ff = add(matmul(ff, self.store[f"{p}.ff.w2"]), self.store[f"{p}.ff.b2"])
-            if training:
-                ff = dropout(ff, cfg.dropout, rng)
-            x = add(x, ff)
+            x = add(x, drop(ff))
         x = layer_norm(x, self.store["final_ln.g"], self.store["final_ln.b"])
-        final_pos = np.arange(b) * t_max + (batch.lengths - 1)
-        h_n = gather_rows(reshape(x, (b * t_max, cfg.d_model)), final_pos)
-        return add(matmul(h_n, self.store["head.w"]), self.store["head.b"])
+        return add(matmul(x, self.store["head.w"]), self.store["head.b"])
 
     def predict_proba(self, sequences: list[MobilitySequence], batch_size: int = 256) -> np.ndarray:
         feats = self._featurize(sequences)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nextloc.numcore import tensor as tensor_module
 from nextloc.numcore import (
     AdamState,
     CheckpointError,
@@ -240,6 +241,48 @@ def test_matmul_matches_batched_reference(lead, rows, d, k, track_a, track_b, se
         assert b.grad is None
 
 
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+    rows=st.integers(1, 5),
+    d=st.integers(1, 6),
+    track_a=st.booleans(),
+    track_b=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_reference_and_skips_untracked_operands(lead, rows, d, track_a, track_b, seed):
+    rng = np.random.default_rng(seed)
+    a_data = rng.standard_normal((*lead, rows, d))
+    b_data = rng.standard_normal(d)  # broadcast over every leading axis
+    upstream = rng.standard_normal((*lead, rows, d))
+    a = Tensor(a_data, requires_grad=track_a)
+    b = Tensor(b_data, requires_grad=track_b)
+    out = mul(a, b)
+    np.testing.assert_array_equal(out.data, a_data * b_data)
+    loss = tsum(mul(out, Tensor(upstream)))
+    if not (track_a or track_b):
+        with pytest.raises(GraphError):
+            backward(loss)
+        return
+    # every gradient mul forms goes through _unbroadcast once: count them
+    formed = []
+    real = tensor_module._unbroadcast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_module, "_unbroadcast", lambda g, shape: formed.append(shape) or real(g, shape))
+        backward(loss)
+    # the outer mul's constant upstream operand, then a and b of the inner one, each only if tracked
+    assert formed == [out.shape] + [t.shape for t in (a, b) if t._tracked]
+    if track_a:
+        np.testing.assert_array_equal(a.grad, upstream * b_data)
+    else:
+        assert a.grad is None
+    if track_b:
+        ref = (upstream * a_data).reshape(-1, d).sum(axis=0)
+        np.testing.assert_allclose(b.grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    else:
+        assert b.grad is None
+
+
 # ---------------------------------------------------------------------------
 # no_graph: the same forward values, nothing recorded
 
@@ -263,10 +306,24 @@ NO_GRAPH_OPS = {
     "tsum": lambda rng, r, d: tsum(rand(rng, r, d)),
     "tmean": lambda rng, r, d: tmean(rand(rng, r, d)),
     "l2_normalize": lambda rng, r, d: l2_normalize(rand(rng, r, d)),
-    "multi_head_attention": lambda rng, r, d: multi_head_attention(  # weight, bias for q, k, v, out
-        rand(rng, 2, r, 4), 2, *(rand(rng, 4, 4) if i % 2 == 0 else rand(rng, 4) for i in range(8))
-    ),
 }
+
+
+def _attention(query):
+    """Build attention over (2, r, 4) inputs; `query(rng, r)` gives the query positions (None: every one)."""
+    return lambda rng, r, d: multi_head_attention(  # weight, bias for q, k, v, out
+        rand(rng, 2, r, 4), 2, *(rand(rng, 4, 4) if i % 2 == 0 else rand(rng, 4) for i in range(8)),
+        query_pos=query(rng, r),
+    )
+
+
+# query positions: every position, the first, the last, and a mix
+NO_GRAPH_OPS.update({
+    "multi_head_attention": _attention(lambda rng, r: None),
+    "multi_head_attention_first": _attention(lambda rng, r: np.zeros(2, dtype=np.int64)),
+    "multi_head_attention_last": _attention(lambda rng, r: np.full(2, r - 1)),
+    "multi_head_attention_mixed": _attention(lambda rng, r: rng.integers(0, r, 2)),
+})
 
 
 @pytest.mark.parametrize("op", sorted(NO_GRAPH_OPS))
@@ -437,14 +494,17 @@ def test_fd_multi_head_attention():
         store.add(nm.replace("w", "b"), rng.standard_normal(d) * 0.1)
         names += [nm, nm.replace("w", "b")]
 
-    def build():
-        out = multi_head_attention(
-            x, 2, store["wq"], store["bq"], store["wk"], store["bk"],
-            store["wv"], store["bv"], store["wo"], store["bo"],
-        )
-        return tmean(mul(out, out))
+    # query positions: every position, the first, the last, and a mix
+    for query_pos in (None, np.array([0, 0]), np.array([2, 2]), np.array([2, 0])):
 
-    fd_check(build, store)
+        def build():
+            out = multi_head_attention(
+                x, 2, store["wq"], store["bq"], store["wk"], store["bk"],
+                store["wv"], store["bv"], store["wo"], store["bo"], query_pos=query_pos,
+            )
+            return tmean(mul(out, out))
+
+        fd_check(build, store)
 
 
 def test_attention_causal_mask_blocks_future():
@@ -465,6 +525,55 @@ def test_attention_causal_mask_blocks_future():
         ).data
 
     np.testing.assert_allclose(run(x1)[0, :2], run(x2)[0, :2], atol=1e-12)
+
+
+@given(
+    batch=st.integers(1, 4),
+    t_len=st.integers(1, 6),
+    track=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_attention_query_rows_equal_full_rows(batch, t_len, track, seed):
+    """Querying one position per row gives that row of the every-position output, forward and backward."""
+    rng = np.random.default_rng(seed)
+    d = 4
+    x_data = rng.standard_normal((batch, t_len, d))
+    weights = [rng.standard_normal((d, d)) if i % 2 == 0 else rng.standard_normal(d) for i in range(8)]
+    query = rng.integers(0, t_len, batch)
+    upstream = rng.standard_normal((batch, d))
+
+    def run(query_pos):
+        x = Tensor(x_data, requires_grad=track)
+        params = [Tensor(w, requires_grad=True) for w in weights]
+        out = multi_head_attention(x, 2, *params, query_pos=query_pos)
+        if query_pos is None:
+            out = gather_rows(reshape(out, (batch * t_len, d)), np.arange(batch) * t_len + query)
+        backward(tsum(mul(out, Tensor(upstream))))
+        return out.data, [t.grad for t in params] + [x.grad]
+
+    got, got_grads = run(query)
+    ref, ref_grads = run(None)
+    assert got.shape == (batch, d)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    for g, r in zip(got_grads, ref_grads):
+        if r is None:
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, r, rtol=1e-10, atol=1e-12 * max(np.abs(r).max(), 1.0))
+
+
+@pytest.mark.parametrize("query_pos", [[0], [0, 3], [-1, 0], [0, 1.0]])
+def test_attention_rejects_bad_query_positions(query_pos):
+    store = ParameterStore()
+    for nm in ("wq", "wk", "wv", "wo"):
+        store.add(nm, np.eye(4))
+        store.add(nm.replace("w", "b"), np.zeros(4))
+    with pytest.raises(ShapeError):
+        multi_head_attention(
+            Tensor(np.ones((2, 3, 4))), 2, store["wq"], store["bq"], store["wk"], store["bk"],
+            store["wv"], store["bv"], store["wo"], store["bo"], query_pos=np.array(query_pos),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,23 @@ from hypothesis import strategies as st
 from nextloc.baselines import VanillaE2EEmbedder
 from nextloc.geoenc import GeoPoint
 from nextloc.mobdata.model import DatasetSplit, Location, LocationIndex, MobilitySequence
-from nextloc.numcore import backward, cross_entropy, finite_difference_check, softmax
+import nextloc.numcore.tensor
+import nextloc.predictor
+from nextloc.numcore import (
+    add,
+    backward,
+    concat,
+    cross_entropy,
+    dropout,
+    finite_difference_check,
+    gather_rows,
+    layer_norm,
+    matmul,
+    multi_head_attention,
+    relu,
+    reshape,
+    softmax,
+)
 from nextloc.numcore.checkpoint import save_checkpoint
 from nextloc.predictor import NextLocPredictor, PredictorConfig
 from nextloc.util import make_rng
@@ -182,6 +198,96 @@ def test_padded_cells_change_nothing():
     assert grads.keys() == other_grads.keys()
     for name in grads:
         np.testing.assert_array_equal(other_grads[name], grads[name], err_msg=name)
+
+
+# ----------------------------------------------------------------------
+# the last layer computes only the final position
+
+
+def full_length_logits(model, batch, training=False, rng=None):
+    """Reference forward: every layer on every position, then a gather of each sequence's final row."""
+    cfg, s = model.cfg, model.store
+    b, t = batch.loc_idx.shape
+    users = np.broadcast_to(batch.users[:, None], (b, t))
+    x = concat([
+        gather_rows(model.loc_matrix, batch.loc_idx), gather_rows(s["tod_emb"], batch.tod),
+        gather_rows(s["dow_emb"], batch.dow), gather_rows(s["user_emb"], users),
+    ])
+    x = add(add(matmul(x, s["in_proj.w"]), s["in_proj.b"]), gather_rows(s["pos_emb"], np.arange(t)))
+
+    def drop(h):
+        return dropout(h, cfg.dropout, rng) if training else h
+
+    for l in range(cfg.layers):
+        p = f"layer{l}."
+        attn = [s[p + "attn." + nm] for nm in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+        x = add(x, drop(multi_head_attention(layer_norm(x, s[p + "ln1.g"], s[p + "ln1.b"]), cfg.heads, *attn)))
+        h = relu(add(matmul(layer_norm(x, s[p + "ln2.g"], s[p + "ln2.b"]), s[p + "ff.w1"]), s[p + "ff.b1"]))
+        x = add(x, drop(add(matmul(h, s[p + "ff.w2"]), s[p + "ff.b2"])))
+    x = layer_norm(x, s["final_ln.g"], s["final_ln.b"])
+    h_n = gather_rows(reshape(x, (b * t, cfg.d_model)), np.arange(b) * t + batch.lengths - 1)
+    return add(matmul(h_n, s["head.w"]), s["head.b"])
+
+
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_forward_equals_full_length_reference(lengths, layers, seed):
+    cfg = tiny_config(layers=layers, max_context=6, dropout=0.3)
+    model = make_predictor(n_locs=7, cfg=cfg, seed=seed % 5)
+    rng = np.random.default_rng(seed)
+    feats = model._featurize([
+        seq(f"u{1 + i % 2}", [f"L{j}" for j in rng.integers(0, 7, n)], f"L{rng.integers(0, 7)}", t0=int(rng.integers(0, 10**7)))
+        for i, n in enumerate(lengths)
+    ])
+
+    ref = full_length_logits(model, feats).data
+    np.testing.assert_allclose(model.forward_logits(feats).data, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def train_step(forward):
+        rng = make_rng(seed, "equivalence")
+        loss = cross_entropy(forward(model, feats, training=True, rng=rng), feats.targets)
+        backward(loss, params=model.store.tensors())
+        return loss.item(), {name: t.grad.copy() for name, t in model.store.items()}, rng.bit_generator.state
+
+    loss, grads, rng_state = train_step(NextLocPredictor.forward_logits)
+    ref_loss, ref_grads, ref_rng_state = train_step(full_length_logits)
+    assert rng_state == ref_rng_state  # the same dropout draws, in the same order
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    # some gradients are zero up to rounding (the key bias's), so the floor is the largest gradient's
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-10 * scale, err_msg=name)
+
+
+def test_last_layer_products_see_one_row_per_sequence(monkeypatch):
+    """Guard: only the last layer's keys and values span every position; its other products see b rows."""
+    cfg = tiny_config(layers=3, dropout=0.2)
+    model = make_predictor(n_locs=6, cfg=cfg)
+    feats = model._featurize(mixed_sequences(7))
+    b, t = feats.loc_idx.shape
+    assert t > 1
+    name_of = {id(p): name for name, p in model.store.items()}
+    rows_seen: dict[str, list[tuple[int, ...]]] = {}
+    real = nextloc.numcore.tensor.matmul
+
+    def recording(a, w):
+        rows_seen.setdefault(name_of.get(id(w), "?"), []).append(a.shape[:-1])
+        return real(a, w)
+
+    monkeypatch.setattr(nextloc.predictor, "matmul", recording)
+    monkeypatch.setattr(nextloc.numcore.tensor, "matmul", recording)
+    model.forward_logits(feats, training=True, rng=make_rng(0, "guard"))
+    for l in range(cfg.layers - 1):
+        for nm in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ff.w1", "ff.w2"):
+            assert rows_seen[f"layer{l}.{nm}"] == [(b, t)], (l, nm)
+    for nm in ("attn.wq", "attn.wo", "ff.w1", "ff.w2"):
+        assert rows_seen[f"layer2.{nm}"] == [(b,)], nm
+    assert rows_seen["layer2.attn.wk"] == rows_seen["layer2.attn.wv"] == [(b, t)]
+    assert rows_seen["head.w"] == [(b,)]
 
 
 # ----------------------------------------------------------------------
