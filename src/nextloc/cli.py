@@ -236,14 +236,12 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
 PRETRAIN = {"calliper-encoder": _pretrain_calliper, "skipgram-table": _pretrain_skipgram}
 
 
-def cmd_pretrain(cfg: ExperimentConfig, kind: str | None = None) -> int:
+def cmd_pretrain(cfg: ExperimentConfig) -> int:
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    if kind == "lookup-table":
+    kinds = [k for k in cfg.embedder_kinds if k in PRETRAIN]
+    if not kinds:
         print("lookup-table embeddings are learned jointly with the predictor; nothing to pretrain")
-        return 0
-    for k in [kind] if kind else [k for k in cfg.embedder_kinds if k in PRETRAIN]:
-        if k not in PRETRAIN:
-            raise ValueError(f"unknown embedder kind {k!r}")
+    for k in kinds:
         PRETRAIN[k](cfg)
     return 0
 
@@ -273,11 +271,10 @@ def _cap_train(split: DatasetSplit, cap: int, seed: int) -> DatasetSplit:
     return replace(split, train=[split.train[i] for i in keep])
 
 
-def cmd_train(cfg: ExperimentConfig, kind: str | None = None) -> int:
+def cmd_train(cfg: ExperimentConfig) -> int:
     sequences, seq_hash, index = _load_store(cfg)
     splits = _load_splits(cfg, sequences, seq_hash)
-    kinds = [kind] if kind else list(cfg.embedder_kinds)
-    for k in kinds:
+    for k in cfg.embedder_kinds:
         for seed in cfg.seeds:
             split = _cap_train(splits[split_seed_of(cfg, seed)], cfg.max_train_sequences, seed)
             matrix = _location_matrix(cfg, k, index, split, seed)
@@ -327,10 +324,10 @@ def _test_ranks(cfg, index, split: DatasetSplit, kind: str, seed: int) -> dict[s
     return ranks
 
 
-def cmd_evaluate(cfg: ExperimentConfig, kind: str | None = None) -> int:
+def cmd_evaluate(cfg: ExperimentConfig) -> int:
     sequences, seq_hash, index = _load_store(cfg)
     splits = _load_splits(cfg, sequences, seq_hash)
-    kinds = [kind] if kind else list(cfg.embedder_kinds)
+    kinds = cfg.embedder_kinds
     provenance = {"sequences_hash": seq_hash, "index_hash": index.content_hash()}
     for split_seed, split in splits.items():
         provenance[seeded("manifest_digest", split_seed)] = split.digest
@@ -476,14 +473,16 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seeds=(args.seed_override,))
         if args.command == "preprocess":
             return cmd_preprocess(cfg)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg, kind=args.kind)
-        if args.command == "train":
-            return cmd_train(cfg, kind=args.kind)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, kind=args.kind)
         if args.command == "visualize":
             return cmd_visualize(cfg, kind=args.kind)
+        if args.kind is not None:
+            cfg = replace(cfg, embedder_kinds=(args.kind,))
+        if args.command == "pretrain":
+            return cmd_pretrain(cfg)
+        if args.command == "train":
+            return cmd_train(cfg)
+        if args.command == "evaluate":
+            return cmd_evaluate(cfg)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, FileNotFoundError, KeyError, OSError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

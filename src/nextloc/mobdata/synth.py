@@ -132,8 +132,8 @@ def generate_synthetic_city(
 
     xy = [f"{float(coords[i, 0])!r},{float(coords[i, 1])!r}" for i in range(n_locations)]
     checkins_path = out / "checkins.csv"
-    write_atomic(checkins_path, "user,location,x,y,timestamp,description\n" + "".join(
-        f"{user},{loc_ids[i]},{xy[i]},{t},{descriptions[i]}\n" for user, i, t in rows
+    write_atomic(checkins_path, "user,location,x,y,timestamp\n" + "".join(
+        f"{user},{loc_ids[i]},{xy[i]},{t}\n" for user, i, t in rows
     ))
     pois_path = out / "pois.csv"
     write_atomic(pois_path, "id,x,y,description\n" + "".join(

@@ -35,10 +35,10 @@ class AdamState:
 
 
 def adam_step(store: ParameterStore, state: AdamState) -> None:
-    """Apply one Adam update to every parameter, then clear gradients.
+    """Apply one Adam update to every parameter, then drop its gradient.
 
     Every parameter must carry a gradient (backward() with params= fills in
-    zeros for unreachable ones).
+    zeros for unreachable ones), so a second step needs a second backward().
     """
     for name, t in store.items():
         if t.grad is None:
@@ -75,5 +75,4 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
         denom += state.eps
         step /= denom
         t.data -= step
-        # a fresh array: backward may hand one gradient array to several parameters
-        t.grad = np.zeros_like(t.data)
+        t.grad = None

@@ -51,8 +51,6 @@ from nextloc.numcore import (
 from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
 from nextloc.util import make_rng
 
-UNKNOWN_USER = "<unknown>"
-
 
 @dataclass(frozen=True)
 class PredictorConfig:

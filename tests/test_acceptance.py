@@ -348,6 +348,7 @@ def city_run(tmp_path_factory):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_inductive_superiority(verdict, city_run):
     kinds = city_run.metrics["kinds"]
     seeds = city_run.metrics["seeds"]
@@ -370,6 +371,7 @@ def test_criterion_6_synthetic_inductive_superiority(verdict, city_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_embedding_manifold_consistency(verdict, city_run):
     from nextloc.calliper import CaLLiPerModel
     from nextloc.numcore import load_checkpoint
@@ -423,6 +425,7 @@ def test_criterion_7_embedding_manifold_consistency(verdict, city_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_bit_reproducibility(verdict, city_run):
     rerun_out = city_run.root / "rerun_artifacts"
     elapsed = _run_pipeline(city_run.cfg_path, rerun_out)

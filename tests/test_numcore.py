@@ -626,7 +626,22 @@ def test_adam_clears_gradients_after_step():
     state = AdamState(store)
     p.grad = np.array([1.0])
     adam_step(store, state)
-    np.testing.assert_array_equal(p.grad, np.zeros(1))
+    assert p.grad is None
+    assert state.step_count == 1
+
+
+def test_adam_second_step_needs_a_second_backward():
+    store = ParameterStore()
+    w = store.add("w", np.ones((2, 2)))
+    unused = store.add("unused", np.zeros(3))
+    state = AdamState(store)
+    backward(tsum(matmul(Tensor(np.ones((1, 2))), w)), params=store.tensors())
+    adam_step(store, state)
+    assert w.grad is None and unused.grad is None
+    before = w.data.copy()
+    with pytest.raises(ValueError, match="has no gradient"):
+        adam_step(store, state)
+    np.testing.assert_array_equal(w.data, before)
     assert state.step_count == 1
 
 
