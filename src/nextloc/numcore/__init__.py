@@ -14,7 +14,6 @@ from nextloc.numcore.tensor import (
     concat,
     cross_entropy,
     dropout,
-    dropout_mask,
     gather_rows,
     l2_normalize,
     layer_norm,
@@ -49,7 +48,6 @@ __all__ = [
     "concat",
     "cross_entropy",
     "dropout",
-    "dropout_mask",
     "finite_difference_check",
     "gather_rows",
     "he_std",

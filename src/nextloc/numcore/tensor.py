@@ -312,18 +312,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _from_op(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
-def dropout_mask(shape: Sequence[int], rate: float, rng: np.random.Generator) -> np.ndarray:
-    """The multiplier dropout() applies: 0 with probability `rate`, else 1 / (1 - rate)."""
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; callers apply it in training only."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = dropout_mask(x.shape, rate, rng)
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def back(g, accum):
         accum(x, g * mask)

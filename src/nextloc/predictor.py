@@ -6,12 +6,9 @@ features, linearly mapped to the model width, plus learned positions). The
 final position's hidden state goes through a fully connected head and a
 softmax over every class in the LocationIndex. That state is all the head
 reads, so the last layer takes keys and values from every position but
-computes its query, feed-forward and norms on each sequence's final row
-only: desk-train's benchmark trains 1,580 sequences/s instead of 1,134
-on a 2-core VM (medians of 10 runs; the README has the other numbers).
-Trained with cross-entropy
-and early stopping on validation loss; the best-validation parameters are
-restored at the end.
+computes its query, feed-forward, dropout and norms on each sequence's
+final row only. Trained with cross-entropy and early stopping on
+validation loss; the best-validation parameters are restored at the end.
 
 Location embeddings arrive as an (|L|, d) matrix with the kind that made it:
 a pretrained matrix (skip-gram table, coordinate encoder) enters as a
@@ -36,12 +33,10 @@ from nextloc.numcore import (
     concat,
     cross_entropy,
     dropout,
-    dropout_mask,
     gather_rows,
     he_std,
     layer_norm,
     matmul,
-    mul,
     multi_head_attention,
     no_graph,
     relu,
@@ -200,12 +195,7 @@ class NextLocPredictor:
         last = batch.lengths - 1
 
         def drop(h: Tensor) -> Tensor:
-            if not training or cfg.dropout == 0.0:
-                return h
-            if h.ndim == 3:
-                return dropout(h, cfg.dropout, rng)
-            # the final rows of the mask every position would draw, so the rng stream stays the same
-            return mul(h, Tensor(dropout_mask((b, t_max, cfg.d_model), cfg.dropout, rng)[np.arange(b), last]))
+            return dropout(h, cfg.dropout, rng) if training else h
 
         # attention is causal and contexts are left-aligned, so no real position reads padding;
         # the head reads only each sequence's final position, so the last layer computes only that row

@@ -205,7 +205,8 @@ def test_padded_cells_change_nothing():
 
 
 def full_length_logits(model, batch, training=False, rng=None):
-    """Reference forward: every layer on every position, then a gather of each sequence's final row."""
+    """Reference forward: every layer on every position, except that the last layer gathers each
+    sequence's final row after its attention and before its two dropouts, which draw (b, d) masks."""
     cfg, s = model.cfg, model.store
     b, t = batch.loc_idx.shape
     users = np.broadcast_to(batch.users[:, None], (b, t))
@@ -218,15 +219,20 @@ def full_length_logits(model, batch, training=False, rng=None):
     def drop(h):
         return dropout(h, cfg.dropout, rng) if training else h
 
+    def final_rows(h):
+        return gather_rows(reshape(h, (b * t, cfg.d_model)), np.arange(b) * t + batch.lengths - 1)
+
     for l in range(cfg.layers):
         p = f"layer{l}."
         attn = [s[p + "attn." + nm] for nm in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        x = add(x, drop(multi_head_attention(layer_norm(x, s[p + "ln1.g"], s[p + "ln1.b"]), cfg.heads, *attn)))
+        attended = multi_head_attention(layer_norm(x, s[p + "ln1.g"], s[p + "ln1.b"]), cfg.heads, *attn)
+        if l == cfg.layers - 1:
+            x, attended = final_rows(x), final_rows(attended)
+        x = add(x, drop(attended))
         h = relu(add(matmul(layer_norm(x, s[p + "ln2.g"], s[p + "ln2.b"]), s[p + "ff.w1"]), s[p + "ff.b1"]))
         x = add(x, drop(add(matmul(h, s[p + "ff.w2"]), s[p + "ff.b2"])))
     x = layer_norm(x, s["final_ln.g"], s["final_ln.b"])
-    h_n = gather_rows(reshape(x, (b * t, cfg.d_model)), np.arange(b) * t + batch.lengths - 1)
-    return add(matmul(h_n, s["head.w"]), s["head.b"])
+    return add(matmul(x, s["head.w"]), s["head.b"])
 
 
 @given(
@@ -261,6 +267,23 @@ def test_forward_equals_full_length_reference(lengths, layers, seed):
     scale = max(np.abs(g).max() for g in ref_grads.values())
     for name in grads:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-10 * scale, err_msg=name)
+
+
+def test_training_forward_draws_masks_only_for_computed_rows():
+    """Layers 0..L-2 draw (b, t, d) dropout masks; the last layer draws two (b, d) masks."""
+    cfg = tiny_config(layers=3, dropout=0.2)
+    model = make_predictor(n_locs=6, cfg=cfg)
+    feats = model._featurize(mixed_sequences(7))
+    b, t = feats.loc_idx.shape
+    assert t > 1
+    rng = make_rng(0, "draws")
+    model.forward_logits(feats, training=True, rng=rng)
+    expected = make_rng(0, "draws")
+    for _ in range(2 * (cfg.layers - 1)):
+        expected.random((b, t, cfg.d_model))
+    for _ in range(2):
+        expected.random((b, cfg.d_model))
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_last_layer_products_see_one_row_per_sequence(monkeypatch):
