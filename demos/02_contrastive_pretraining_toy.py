@@ -37,7 +37,7 @@ for gi, (desc, (cx, cy)) in enumerate(groups):
         pois.append(PoiRecord(id=f"g{gi}_p{j}", point=GeoPoint(x, y), description=desc))
 
 grid = GridSpec(r_min=0.1, r_max=20.0, n_scales=12)
-cfg = PretrainConfig(batch_size=64, epochs=120, embed_dim=32, hidden_dim=64, seed=0)
+cfg = PretrainConfig(batch_size=64, epochs=120, embed_dim=32, hidden_dim=64)
 model = CaLLiPerModel(grid, HashedNgramEmbedder(dim=256), embed_dim=32, hidden_dim=64, seed=0)
 history = model.pretrain(pois, cfg)
 losses = history["epoch_losses"]

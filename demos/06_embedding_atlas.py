@@ -33,7 +33,7 @@ pois = read_poi_file(city.pois_path)
 print(f"{len(pois)} POIs across categories {city.categories}")
 
 grid = GridSpec(0.1, 20.0, 16)
-cfg = PretrainConfig(batch_size=64, epochs=60, embed_dim=64, hidden_dim=128, seed=0)
+cfg = PretrainConfig(batch_size=64, epochs=60, embed_dim=64, hidden_dim=128)
 model = CaLLiPerModel(grid, HashedNgramEmbedder(dim=512), embed_dim=64, hidden_dim=128, seed=0)
 history = model.pretrain(pois, cfg)
 print(f"pretraining loss {history['epoch_losses'][0]:.3f} -> {history['epoch_losses'][-1]:.3f}")

@@ -52,9 +52,7 @@ class CalliperEmbedder:
         self.model = model
 
     def embedding_matrix(self, index: LocationIndex) -> np.ndarray:
-        coords = np.array([[loc.centroid.x, loc.centroid.y] for loc in index])
-        if len(coords) == 0:
-            return np.zeros((0, self.model.embed_dim))
+        coords = np.array([[loc.centroid.x, loc.centroid.y] for loc in index]).reshape(-1, 2)
         return self.model.encode_location(coords)
 
 
@@ -105,10 +103,7 @@ def skipgram_pretrain(
     """
     streams = visit_streams(sequences)
     corpus = [[index.class_of(loc) for loc, _ in visits] for _, visits in streams.items()]
-    vocab_counts = np.zeros(len(index))
-    for stream in corpus:
-        for c in stream:
-            vocab_counts[c] += 1
+    vocab_counts = np.bincount([c for stream in corpus for c in stream], minlength=len(index))
     if (vocab_counts > 0).sum() < 2:
         raise ValueError("skip-gram needs a vocabulary of at least 2 locations")
 
@@ -123,7 +118,8 @@ def skipgram_pretrain(
     w_out = np.zeros((len(index), dim))
 
     def sigmoid(z):
-        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     epoch_losses: list[float] = []
     for epoch in range(1, epochs + 1):

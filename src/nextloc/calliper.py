@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from nextloc.numcore import (
     transpose,
 )
 from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
-from nextloc.util import make_rng
+from nextloc.util import make_rng, read_settings
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,6 @@ class PretrainConfig:
     epochs: int = 30
     embed_dim: int = 128
     hidden_dim: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -195,7 +194,7 @@ class CaLLiPerModel:
 
     # -- training ------------------------------------------------------
 
-    def pretrain(self, pois: list[PoiRecord], cfg: PretrainConfig) -> dict:
+    def pretrain(self, pois: list[PoiRecord], cfg: PretrainConfig, seed: int = 0) -> dict:
         if not pois:
             raise ValueError("pretrain: empty POI corpus")
         if len(pois) < 2:
@@ -204,7 +203,7 @@ class CaLLiPerModel:
         grid_features = grid_pe_batch(np.array([[p.point.x, p.point.y] for p in pois]), self.grid)
         text_vectors = self.text_embedder.embed_batch([p.description for p in pois])
         optimizer = AdamState(self.store)
-        rng = make_rng(cfg.seed, "calliper-pretrain")
+        rng = make_rng(seed, "calliper-pretrain")
         params = self.store.tensors()
         epoch_losses = []
         for epoch in range(1, cfg.epochs + 1):
@@ -217,7 +216,7 @@ class CaLLiPerModel:
                 z_loc = self.net.forward(grid_features[batch])
                 loss = infonce_loss(z_loc, self._project(text_vectors[batch]))
                 if not np.isfinite(loss.item()):
-                    raise ValueError(f"pretrain: calliper seed {cfg.seed}: non-finite loss in epoch {epoch}, batch {n}")
+                    raise ValueError(f"pretrain: calliper seed {seed}: non-finite loss in epoch {epoch}, batch {n}")
                 backward(loss, params=params)
                 adam_step(self.store, optimizer)
                 total += loss.item() * len(batch)
@@ -230,7 +229,7 @@ class CaLLiPerModel:
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {
             "kind": "calliper",
-            "grid": self.grid.to_dict(),
+            "grid": asdict(self.grid),
             "embed_dim": self.embed_dim,
             "hidden_dim": self.net.hidden,
             "text_dim": self.text_embedder.dim,
@@ -243,7 +242,7 @@ class CaLLiPerModel:
     def load(cls, path, manifest_digest: str | None = None) -> "CaLLiPerModel":
         params, meta = load_checkpoint(path, kind="calliper", manifest_digest=manifest_digest)
         model = cls(
-            GridSpec.from_dict(meta["grid"]),
+            read_settings(GridSpec, meta["grid"], f"{path}: header", "grid."),
             HashedNgramEmbedder(meta["text_dim"]),
             embed_dim=meta["embed_dim"],
             hidden_dim=meta["hidden_dim"],

@@ -157,7 +157,7 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
         if split_seed is None:
             split = conventional
         else:
-            split = split_inductive(conventional, cfg.holdout_fraction, split_seed)
+            split = split_inductive(conventional, seed=split_seed)
         path = artifact(cfg, f"manifest_{cfg.split_mode}", split_seed)
         manifest = write_split_manifest(path, split, seq_hash, extra)
         print(
@@ -191,7 +191,6 @@ def _pretrain_calliper(cfg: ExperimentConfig) -> None:
             text_embedder,
             embed_dim=cfg.pretrain.embed_dim,
             hidden_dim=cfg.pretrain.hidden_dim,
-            seed=cfg.pretrain.seed,
         )
         history = model.pretrain(corpus, cfg.pretrain)
         path = artifact(cfg, "calliper", split_seed, ".nlck")
@@ -214,7 +213,6 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
             index,
             dim=cfg.pretrain.embed_dim,
             epochs=cfg.skipgram_epochs,
-            seed=cfg.pretrain.seed,
         )
         path = artifact(cfg, "skipgram", split_seed, ".nlck")
         save_checkpoint(
@@ -256,10 +254,8 @@ def _location_matrix(cfg, kind: str, index: LocationIndex, split: DatasetSplit, 
         embedder = VanillaE2EEmbedder(dim=cfg.pretrain.embed_dim, seed=run_seed)
     elif kind == "calliper-encoder":
         embedder = CalliperEmbedder(_load_calliper(cfg, split))
-    elif kind == "skipgram-table":
-        embedder = SkipgramEmbedder(_load_skipgram(cfg, index, split))
     else:
-        raise ValueError(f"unknown embedder kind {kind!r}")
+        embedder = SkipgramEmbedder(_load_skipgram(cfg, index, split))
     return embedder.embedding_matrix(index)
 
 
@@ -402,7 +398,6 @@ def cmd_synth(args) -> int:
         n_locations=args.locations,
         n_categories=args.categories,
         days=args.days,
-        visits_per_day=args.visits_per_day,
         out_dir=args.out,
     )
     hashes = city.hashes()
@@ -446,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locations", type=int, default=120)
     p.add_argument("--categories", type=int, default=6)
     p.add_argument("--days", type=int, default=180)
-    p.add_argument("--visits-per-day", type=int, default=2)
     p.add_argument("--write-config", default=None, help="also write a ready-to-run config here")
     p.add_argument("--split-mode", choices=("conventional", "inductive"), default="inductive")
 

@@ -9,15 +9,19 @@ reads the wall clock.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from nextloc.calliper import PretrainConfig
 from nextloc.geoenc import GridSpec
 from nextloc.predictor import PredictorConfig
-from nextloc.util import stable_json, write_atomic
+from nextloc.util import read_settings, stable_json, write_atomic
 
 EMBEDDER_KINDS = ("calliper-encoder", "lookup-table", "skipgram-table")
+
+
+# the nested config sections, each read as its own settings object
+SECTIONS = {"grid": GridSpec, "pretrain": PretrainConfig, "predictor": PredictorConfig}
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,6 @@ class ExperimentConfig:
     pretrain: PretrainConfig
     predictor: PredictorConfig
     split_mode: str = "conventional"
-    holdout_fraction: float = 0.1
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     embedder_kinds: tuple[str, ...] = EMBEDDER_KINDS
     min_visits_per_location: int = 10
@@ -47,8 +50,6 @@ class ExperimentConfig:
         object.__setattr__(self, "embedder_kinds", tuple(self.embedder_kinds))
         if self.split_mode not in ("conventional", "inductive"):
             raise ValueError(f"unknown split mode {self.split_mode!r}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError(f"holdout fraction must be in (0, 1), got {self.holdout_fraction}")
         if not self.seeds:
             raise ValueError("seeds list must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -76,55 +77,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = _exact_keys(cls, d)
-        grid = GridSpec.from_dict(_exact_keys(GridSpec, d.pop("grid"), "grid."))
-        pretrain = PretrainConfig(**_exact_keys(PretrainConfig, d.pop("pretrain"), "pretrain."))
-        predictor = PredictorConfig.from_dict(_exact_keys(PredictorConfig, d.pop("predictor"), "predictor."))
-        return cls(grid=grid, pretrain=pretrain, predictor=predictor, **d)
+        if isinstance(d, dict):
+            d = {k: read_settings(SECTIONS[k], v, "config", f"{k}.") if k in SECTIONS else v for k, v in d.items()}
+        return read_settings(cls, d, "config")
 
     def validate_paths(self) -> None:
         """Input files must exist before any stage runs."""
         missing = [p for p in (self.checkins_path, self.pois_path) if not Path(p).is_file()]
         if missing:
             raise FileNotFoundError("missing input file(s): " + ", ".join(missing))
-
-
-# what a JSON value must be for each field annotation; nested sections are checked by their own call
-_TYPE_NAMES = {
-    "int": "an integer",
-    "float": "a number",
-    "str": "a string",
-    "tuple[int, ...]": "a list of integers",
-    "tuple[str, ...]": "a list of strings",
-}
-
-
-def _fits(value, type_name: str) -> bool:
-    """Whether a JSON value fits a field annotated `type_name`; a bool is not a number."""
-    if type_name.startswith("tuple["):
-        return isinstance(value, (list, tuple)) and all(_fits(v, type_name[6:-6]) for v in value)
-    return not isinstance(value, bool) and isinstance(value, {"int": int, "float": (int, float), "str": str}[type_name])
-
-
-def _exact_keys(cls, d, prefix: str = "") -> dict:
-    """A copy of `d`, whose keys must be exactly the fields of `cls`, each value of its field's type.
-
-    A key the config no longer has is refused rather than ignored, so an old
-    file cannot run with a value other than the one it names.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"config: {prefix.rstrip('.') or 'the top level'} must be an object")
-    names = {f.name for f in fields(cls)}
-    problems = [f"unknown key {prefix + k!r}" for k in sorted(set(d) - names)]
-    problems += [f"missing key {prefix + k!r}" for k in sorted(names - set(d))]
-    problems += [
-        f"key {prefix + f.name!r} must be {_TYPE_NAMES[f.type]}, got {d[f.name]!r}"
-        for f in fields(cls)
-        if f.name in d and f.type in _TYPE_NAMES and not _fits(d[f.name], f.type)
-    ]
-    if problems:
-        raise ValueError("config: " + ", ".join(problems))
-    return dict(d)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -36,6 +36,9 @@ class GridSpec:
     n_scales: int = 32
 
     def __post_init__(self):
+        # radii are floats however they were written, so an integer radius is saved as 1.0
+        object.__setattr__(self, "r_min", float(self.r_min))
+        object.__setattr__(self, "r_max", float(self.r_max))
         if not (0.0 < self.r_min < self.r_max < math.inf):
             raise ValueError(f"GridSpec requires 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         if int(self.n_scales) != self.n_scales or self.n_scales < 2:
@@ -44,13 +47,6 @@ class GridSpec:
     @property
     def feature_dim(self) -> int:
         return 4 * self.n_scales
-
-    def to_dict(self) -> dict:
-        return {"r_min": self.r_min, "r_max": self.r_max, "n_scales": self.n_scales}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(r_min=float(d["r_min"]), r_max=float(d["r_max"]), n_scales=int(d["n_scales"]))
 
 
 def scale_radii(spec: GridSpec) -> np.ndarray:

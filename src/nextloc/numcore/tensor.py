@@ -153,8 +153,6 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
         if t.requires_grad:
             leaves[key] = t
 
-    if loss.requires_grad:
-        leaves[id(loss)] = loss
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None:

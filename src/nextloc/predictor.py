@@ -44,7 +44,9 @@ from nextloc.numcore import (
     softmax,
 )
 from nextloc.numcore.checkpoint import load_checkpoint, save_checkpoint
-from nextloc.util import make_rng
+from nextloc.util import make_rng, read_settings
+
+HOUR_BUCKETS = 24  # time-of-day features are whole hours
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class PredictorConfig:
     time_dim: int = 16
     dow_dim: int = 8
     user_dim: int = 16
-    hour_buckets: int = 24
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:
@@ -67,13 +68,6 @@ class PredictorConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if min(self.layers, self.ff_dim, self.max_context, self.time_dim, self.dow_dim, self.user_dim) < 1:
             raise ValueError("all dimensions must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PredictorConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,7 @@ class NextLocPredictor:
 
         c = cfg
         self.store.add("user_emb", rng.standard_normal((len(self.users) + 1, c.user_dim)) * 0.1)
-        self.store.add("tod_emb", rng.standard_normal((c.hour_buckets, c.time_dim)) * 0.1)
+        self.store.add("tod_emb", rng.standard_normal((HOUR_BUCKETS, c.time_dim)) * 0.1)
         self.store.add("dow_emb", rng.standard_normal((7, c.dow_dim)) * 0.1)
         self.store.add("pos_emb", rng.standard_normal((c.max_context, c.d_model)) * 0.02)
         feat = self.emb_dim + c.time_dim + c.dow_dim + c.user_dim
@@ -170,7 +164,7 @@ class NextLocPredictor:
         loc_idx[valid] = [class_of(loc) for visits in contexts for loc, _ in visits]
         times[valid] = [t for visits in contexts for _, t in visits]
         # padded cells stay 0, as a weekday computed from time 0 would not
-        tod = np.where(valid, (times % 86400) * self.cfg.hour_buckets // 86400, 0)
+        tod = np.where(valid, (times % 86400) * HOUR_BUCKETS // 86400, 0)
         dow = np.where(valid, (times // 86400 + 3) % 7, 0)  # epoch day 0 was a Thursday
         users = np.array([self._user_row.get(s.user, len(self.users)) for s in sequences], dtype=np.int64)
         targets = np.array([class_of(s.target_location) for s in sequences], dtype=np.int64)
@@ -299,7 +293,7 @@ class NextLocPredictor:
             params["frozen.loc_matrix"] = self.loc_matrix.data
         meta = {
             "kind": "predictor",
-            "config": self.cfg.to_dict(),
+            "config": asdict(self.cfg),
             "embedder_kind": self.embedder_kind,
             "users": self.users,
             "index_hash": self.index.content_hash(),
@@ -312,6 +306,7 @@ class NextLocPredictor:
     def load(cls, path, index: LocationIndex, manifest_digest: str | None = None) -> "NextLocPredictor":
         params, meta = load_checkpoint(path, "predictor", index.content_hash(), manifest_digest)
         matrix = params["loc_table"] if meta["embedder_kind"] == "lookup-table" else params.pop("frozen.loc_matrix")
-        model = cls(index, meta["users"], matrix, meta["embedder_kind"], PredictorConfig.from_dict(meta["config"]))
+        cfg = read_settings(PredictorConfig, meta["config"], f"{path}: header", "config.")
+        model = cls(index, meta["users"], matrix, meta["embedder_kind"], cfg)
         model.store.load_state_dict(params)
         return model

@@ -197,8 +197,8 @@ def test_pretrain_rejects_empty_and_singleton():
 
 def test_pretrain_corner_corpus_beats_uninformative_level():
     model = CaLLiPerModel(GRID, HashedNgramEmbedder(128), embed_dim=16, hidden_dim=32, seed=5)
-    cfg = PretrainConfig(batch_size=4, epochs=200, seed=5)
-    history = model.pretrain(corner_corpus(), cfg)
+    cfg = PretrainConfig(batch_size=4, epochs=200)
+    history = model.pretrain(corner_corpus(), cfg, seed=5)
     losses = history["epoch_losses"]
     assert losses[-1] < losses[0]
     assert losses[-1] < math.log(4)
@@ -208,7 +208,7 @@ def test_pretrain_leaves_text_vectorizer_untouched():
     emb = HashedNgramEmbedder(64)
     before = emb.embed_batch([p.description for p in corner_corpus()]).tobytes()
     model = CaLLiPerModel(GRID, emb, embed_dim=8, hidden_dim=16, seed=1)
-    model.pretrain(corner_corpus(), PretrainConfig(batch_size=4, epochs=3, seed=1))
+    model.pretrain(corner_corpus(), PretrainConfig(batch_size=4, epochs=3), seed=1)
     after = emb.embed_batch([p.description for p in corner_corpus()]).tobytes()
     assert before == after
 
@@ -231,7 +231,7 @@ def test_pretrain_encodes_each_poi_once(monkeypatch):
     monkeypatch.setattr(nextloc.calliper, "grid_pe_batch", counting_grid_pe_batch)
     pois = corner_corpus() + [PoiRecord("p4", GeoPoint(0.0, 0.0), "city park")]
     model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=1)
-    model.pretrain(pois, PretrainConfig(batch_size=2, epochs=6, seed=1))
+    model.pretrain(pois, PretrainConfig(batch_size=2, epochs=6), seed=1)
     assert sorted(embedded) == sorted(p.description for p in pois)
     assert encoded == [len(pois)]
 
@@ -240,13 +240,13 @@ def test_pretrain_stops_on_a_non_finite_loss():
     model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=1)
     model.store["proj.b"].data[0] = np.nan
     with pytest.raises(ValueError, match=r"^pretrain: calliper seed 6: non-finite loss in epoch 1, batch 1$"):
-        model.pretrain(corner_corpus(), PretrainConfig(batch_size=2, epochs=2, seed=6))
+        model.pretrain(corner_corpus(), PretrainConfig(batch_size=2, epochs=2), seed=6)
 
 
 def test_pretrain_is_deterministic():
     def run():
         model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=2)
-        model.pretrain(corner_corpus(), PretrainConfig(batch_size=2, epochs=4, seed=2))
+        model.pretrain(corner_corpus(), PretrainConfig(batch_size=2, epochs=4), seed=2)
         return model.encode_location(GeoPoint(0.3, 0.7))
 
     np.testing.assert_array_equal(run(), run())
@@ -254,7 +254,7 @@ def test_pretrain_is_deterministic():
 
 def test_checkpoint_reload_reproduces_outputs(tmp_path):
     model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=3)
-    model.pretrain(corner_corpus(), PretrainConfig(batch_size=4, epochs=2, seed=3))
+    model.pretrain(corner_corpus(), PretrainConfig(batch_size=4, epochs=2), seed=3)
     probe = np.array([[0.1, 0.2], [5.0, -5.0], [100.0, 3.0]])
     before = model.encode_location(probe)
     path = tmp_path / "calliper.ckpt"
@@ -296,7 +296,7 @@ def test_pretraining_clusters_categories_by_region():
             )
         )
     model = CaLLiPerModel(GRID, HashedNgramEmbedder(128), embed_dim=16, hidden_dim=32, seed=11)
-    model.pretrain(pois, PretrainConfig(batch_size=8, epochs=60, seed=11))
+    model.pretrain(pois, PretrainConfig(batch_size=8, epochs=60), seed=11)
     vecs = model.encode_location(np.array([[p.point.x, p.point.y] for p in pois]))
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     sims = unit @ unit.T

@@ -20,7 +20,7 @@ from nextloc.config import (
     synthetic_desk_config,
 )
 from nextloc.mobdata import MobilitySequence, write_sequences
-from nextloc.numcore import save_checkpoint
+from nextloc.numcore import load_checkpoint, save_checkpoint
 
 # ----------------------------------------------------------------------
 # config
@@ -59,8 +59,6 @@ def test_config_validation(tmp_path):
         desk_config(tmp_path, seeds=[1, 1])
     with pytest.raises(ValueError, match="embedder kind"):
         desk_config(tmp_path, embedder_kinds=["hologram"])
-    with pytest.raises(ValueError, match="holdout"):
-        desk_config(tmp_path, holdout_fraction=1.5)
     with pytest.raises(ValueError, match="positive"):
         desk_config(tmp_path, train_epochs=0)
 
@@ -73,14 +71,13 @@ def test_written_config_has_exactly_these_settings(tmp_path):
     keys = {f"{k}.{sub}" for k, v in d.items() if isinstance(v, dict) for sub in v}
     keys |= {k for k, v in d.items() if not isinstance(v, dict)}
     assert keys == {
-        "name", "checkins_path", "pois_path", "out_dir", "split_mode", "holdout_fraction", "seeds",
+        "name", "checkins_path", "pois_path", "out_dir", "split_mode", "seeds",
         "embedder_kinds", "min_visits_per_location", "train_epochs", "train_patience", "train_batch_size",
         "max_train_sequences", "skipgram_epochs",
         "grid.r_min", "grid.r_max", "grid.n_scales",
-        "pretrain.batch_size", "pretrain.epochs", "pretrain.embed_dim", "pretrain.hidden_dim", "pretrain.seed",
+        "pretrain.batch_size", "pretrain.epochs", "pretrain.embed_dim", "pretrain.hidden_dim",
         "predictor.layers", "predictor.heads", "predictor.ff_dim", "predictor.dropout", "predictor.d_model",
         "predictor.max_context", "predictor.time_dim", "predictor.dow_dim", "predictor.user_dim",
-        "predictor.hour_buckets",
     }
 
 
@@ -103,6 +100,8 @@ def write_edited_config(tmp_path: Path, key: str, value=None, delete: bool = Fal
     [
         ("train_learning_rate", 0.001, False, "unknown key 'train_learning_rate'"),
         ("pretrain.temperature", 0.07, False, "unknown key 'pretrain.temperature'"),
+        ("holdout_fraction", 0.1, False, "unknown key 'holdout_fraction'"),
+        ("grid.n_scales", None, True, "missing key 'grid.n_scales'"),
         ("name", None, True, "missing key 'name'"),
     ],
 )
@@ -115,7 +114,7 @@ def test_config_with_a_removed_or_missing_key_is_refused(tmp_path, capsys, key, 
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", ["holdout_fraction", "grid.r_min", "grid.r_max", "predictor.dropout"])
+@pytest.mark.parametrize("key", ["grid.r_min", "grid.r_max", "predictor.dropout"])
 def test_non_finite_float_setting_is_refused(tmp_path, capsys, key, value):
     path = write_edited_config(tmp_path, key, value)
     with pytest.raises(ValueError):
@@ -312,15 +311,25 @@ def test_checkpoint_index_mismatch_is_refused(pipeline, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def stale(pipeline, tmp_path_factory):
-    """A copy of the pipeline's artifacts whose splits were redrawn by a later preprocess run."""
+    """A copy of the pipeline's artifacts whose splits were redrawn by a later preprocess run.
+
+    The later run reads one check-in fewer: the same locations, so the same
+    index, but another sequence store and so every manifest changes.
+    """
     work = tmp_path_factory.mktemp("stale") / "artifacts"
     shutil.copytree(pipeline.out, work)
     d = json.loads(pipeline.cfg_path.read_text())
-    d["holdout_fraction"] = 0.3
+    checkins = work.parent / "checkins.csv"
+    checkins.write_text("".join(Path(d["checkins_path"]).read_text().splitlines(keepends=True)[:-1]))
+    d["checkins_path"] = str(checkins)
     d["out_dir"] = str(work)
     cfg_path = work.parent / "cfg.json"
     cfg_path.write_text(json.dumps(d))
+    before = {p.name: p.read_bytes() for p in work.glob("*.json")}
     assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    assert (work / "locations.json").read_bytes() == before["locations.json"]
+    redrawn = [name for name in before if name.startswith(("sequences", "manifest_"))]
+    assert len(redrawn) == 3 and all((work / name).read_bytes() != before[name] for name in redrawn)
     return SimpleNamespace(out=work, cfg_path=cfg_path)
 
 
@@ -383,6 +392,39 @@ def test_flipped_header_bit_gives_an_error_line(pipeline, tmp_path, capsys):
         return raw.replace(b'"u000"', b'"u100"')  # one bit of a user name in the header
 
     assert "do not match their digest" in evaluate_with_corrupt_predictor(pipeline, tmp_path, capsys, flip)
+
+
+@pytest.mark.parametrize(
+    "stem, section, key, value",
+    [
+        ("predictor_lookup-table_seed0", "config", "hour_buckets", 24),  # as a predictor of an older version has it
+        ("predictor_lookup-table_seed0", "config", "dropout", None),
+        ("calliper_seed0", "grid", "scale", 1.0),
+        ("calliper_seed0", "grid", "n_scales", None),
+    ],
+    ids=["predictor-unknown", "predictor-missing", "calliper-unknown", "calliper-missing"],
+)
+def test_checkpoint_header_with_an_unknown_or_missing_setting_is_refused(
+    pipeline, tmp_path, capsys, stem, section, key, value
+):
+    """A checkpoint header is read as strictly as a config file: no key is ignored or filled in."""
+    work = tmp_path / "header"
+    shutil.copytree(pipeline.out, work)
+    path = work / f"{stem}.nlck"
+    params, meta = load_checkpoint(path)
+    if value is None:
+        del meta[section][key]
+    else:
+        meta[section][key] = value
+    save_checkpoint(path, params, meta=meta)  # a well-formed file with a fresh digest
+    # evaluate loads the predictor; train is the stage that loads the calliper encoder
+    argv = ["evaluate", "--kind", "lookup-table"] if section == "config" else ["train", "--kind", "calliper-encoder"]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(pipeline.cfg_path), "--out", str(work), "--seed-override", "0"]) == 1
+    err = capsys.readouterr().err
+    problem = "missing" if value is None else "unknown"
+    assert err.startswith("error:") and f"{problem} key '{section}.{key}'" in err and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_training_loss_gives_an_error_line(pipeline, tmp_path, capsys, monkeypatch):
@@ -511,17 +553,17 @@ def test_conventional_pipeline_shares_one_split(tmp_path, monkeypatch):
 
 
 def test_evaluate_without_held_out_targets_writes_nothing(tmp_path, capsys):
-    # a holdout fraction this small holds out no location, so the inductive
-    # held-out subset is empty; the refusal must come before any report
+    # 10% of at most five training locations rounds to none held out, so the
+    # inductive held-out subset is empty; the refusal must come before any report
     city = tmp_path / "city"
     cfg_path = tmp_path / "cfg.json"
     assert main([
         "synth", "--out", str(city), "--seed", "3",
-        "--users", "8", "--locations", "24", "--categories", "4", "--days", "30",
+        "--users", "8", "--locations", "5", "--categories", "4", "--days", "30",
         "--write-config", str(cfg_path), "--split-mode", "inductive",
     ]) == 0
     d = json.loads(cfg_path.read_text())
-    d.update(holdout_fraction=0.001, seeds=[0], embedder_kinds=["lookup-table"], train_epochs=1, train_patience=1)
+    d.update(seeds=[0], embedder_kinds=["lookup-table"], train_epochs=1, train_patience=1)
     cfg_path.write_text(json.dumps(d))
     for stage in ("preprocess", "train"):
         assert main([stage, "--config", str(cfg_path)]) == 0

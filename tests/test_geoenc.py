@@ -1,6 +1,7 @@
 """Radial scales, sinusoidal coordinate features, and the FC front end."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ def test_scale_radii_strictly_increasing():
 def test_grid_spec_rejects_bad_parameters(r_min, r_max, s):
     with pytest.raises(ValueError):
         GridSpec(r_min, r_max, s)
+
+
+def test_grid_spec_radii_are_floats():
+    # an integer radius (gowalla-ld's r_min of 1) is written to configs and checkpoints as 1.0
+    spec = GridSpec(1, 1000, 32)
+    assert asdict(spec) == {"r_min": 1.0, "r_max": 1000.0, "n_scales": 32}
+    assert all(type(r) is float for r in (spec.r_min, spec.r_max))
 
 
 def test_geopoint_rejects_non_finite():

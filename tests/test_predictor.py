@@ -1,6 +1,6 @@
 """Tests for the next-location transformer predictor."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -28,8 +28,8 @@ from nextloc.numcore import (
     softmax,
 )
 from nextloc.numcore.checkpoint import save_checkpoint
-from nextloc.predictor import NextLocPredictor, PredictorConfig
-from nextloc.util import make_rng
+from nextloc.predictor import HOUR_BUCKETS, NextLocPredictor, PredictorConfig
+from nextloc.util import make_rng, read_settings
 
 HOUR = 3600
 
@@ -168,7 +168,7 @@ def test_unknown_users_share_one_embedding_row():
 
 def test_padded_cells_change_nothing():
     """Causal attention over left-aligned contexts never reads a padded cell, forward or backward."""
-    cfg = tiny_config(layers=2, dropout=0.3, hour_buckets=6)
+    cfg = tiny_config(layers=2, dropout=0.3)
     model = make_predictor(n_locs=6, cfg=cfg)
     feats = model._featurize([
         seq("u1", ["L0", "L1", "L2", "L3"], "L4"),
@@ -182,7 +182,7 @@ def test_padded_cells_change_nothing():
     def fill(col, n):
         return np.where(padded, rng.integers(1, n, col.shape), col)
 
-    other = replace(feats, loc_idx=fill(feats.loc_idx, 6), tod=fill(feats.tod, 6), dow=fill(feats.dow, 7))
+    other = replace(feats, loc_idx=fill(feats.loc_idx, 6), tod=fill(feats.tod, HOUR_BUCKETS), dow=fill(feats.dow, 7))
     assert not np.array_equal(other.loc_idx, feats.loc_idx)
 
     np.testing.assert_array_equal(model.forward_logits(other).data, model.forward_logits(feats).data)
@@ -356,7 +356,7 @@ def reference_featurize(model: NextLocPredictor, batch: list[MobilitySequence]):
         targets[i] = model.index.class_of(s.target_location)
         for j, (loc, t) in enumerate(visits):
             loc_idx[i, j] = model.index.class_of(loc)
-            tod[i, j] = (t % 86400) * model.cfg.hour_buckets // 86400
+            tod[i, j] = (t % 86400) * HOUR_BUCKETS // 86400
             dow[i, j] = (t // 86400 + 3) % 7  # epoch day 0 was a Thursday
     return loc_idx, tod, dow, users, lengths, targets
 
@@ -376,10 +376,10 @@ def sequence_lists(draw):
     return out
 
 
-@given(data=st.data(), seqs=sequence_lists(), max_context=st.integers(1, 8), hour_buckets=st.integers(1, 48))
+@given(data=st.data(), seqs=sequence_lists(), max_context=st.integers(1, 8))
 @settings(max_examples=80, deadline=None)
-def test_row_slices_of_one_encoding_equal_per_batch_encoding(data, seqs, max_context, hour_buckets):
-    model = make_predictor(n_locs=6, cfg=tiny_config(max_context=max_context, hour_buckets=hour_buckets))
+def test_row_slices_of_one_encoding_equal_per_batch_encoding(data, seqs, max_context):
+    model = make_predictor(n_locs=6, cfg=tiny_config(max_context=max_context))
     feats = model._featurize(seqs)
     assert len(feats) == len(seqs)
     rows = data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1, max_size=12))
@@ -603,4 +603,4 @@ def test_config_rejects_bad_dropout():
 
 def test_config_round_trip():
     cfg = tiny_config(layers=3, dropout=0.2)
-    assert PredictorConfig.from_dict(cfg.to_dict()) == cfg
+    assert read_settings(PredictorConfig, asdict(cfg), "test") == cfg
