@@ -10,12 +10,7 @@ Run it with:  python3 demos/02_contrastive_pretraining_toy.py
 
 import numpy as np
 
-from nextloc.calliper import (
-    CaLLiPerModel,
-    HashedNgramEmbedder,
-    PoiRecord,
-    PretrainConfig,
-)
+from nextloc.calliper import CaLLiPerModel, PoiRecord, PretrainConfig
 from nextloc.geoenc import GeoPoint, GridSpec
 from nextloc.util import make_rng
 
@@ -37,9 +32,8 @@ for gi, (desc, (cx, cy)) in enumerate(groups):
         pois.append(PoiRecord(id=f"g{gi}_p{j}", point=GeoPoint(x, y), description=desc))
 
 grid = GridSpec(r_min=0.1, r_max=20.0, n_scales=12)
-cfg = PretrainConfig(batch_size=64, epochs=120, embed_dim=32, hidden_dim=64)
-model = CaLLiPerModel(grid, HashedNgramEmbedder(dim=256), embed_dim=32, hidden_dim=64, seed=0)
-history = model.pretrain(pois, cfg)
+model = CaLLiPerModel(grid, PretrainConfig(batch_size=64, epochs=120, embed_dim=32, hidden_dim=64), seed=0)
+history = model.pretrain(pois)
 losses = history["epoch_losses"]
 print(f"loss: {losses[0]:.4f} -> {losses[-1]:.4f} over {len(losses)} epochs")
 

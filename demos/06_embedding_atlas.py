@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nextloc.calliper import (
-    CaLLiPerModel,
-    HashedNgramEmbedder,
-    PretrainConfig,
-    read_poi_file,
-)
+from nextloc.calliper import CaLLiPerModel, PretrainConfig, read_poi_file
 from nextloc.evaluation import project_2d, projection_svg
 from nextloc.geoenc import GridSpec
 from nextloc.mobdata import generate_synthetic_city
@@ -33,9 +28,8 @@ pois = read_poi_file(city.pois_path)
 print(f"{len(pois)} POIs across categories {city.categories}")
 
 grid = GridSpec(0.1, 20.0, 16)
-cfg = PretrainConfig(batch_size=64, epochs=60, embed_dim=64, hidden_dim=128)
-model = CaLLiPerModel(grid, HashedNgramEmbedder(dim=512), embed_dim=64, hidden_dim=128, seed=0)
-history = model.pretrain(pois, cfg)
+model = CaLLiPerModel(grid, PretrainConfig(batch_size=64, epochs=60, embed_dim=64, hidden_dim=128), seed=0)
+history = model.pretrain(pois)
 print(f"pretraining loss {history['epoch_losses'][0]:.3f} -> {history['epoch_losses'][-1]:.3f}")
 
 # One embedding per location, labeled by the category the city assigned.

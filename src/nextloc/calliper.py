@@ -158,18 +158,19 @@ class PretrainConfig:
 
 
 class CaLLiPerModel:
-    """Coordinate tower plus projected frozen-text tower with one store."""
+    """Coordinate tower plus projected frozen-text tower with one store, built from the
+    config's `grid` and `pretrain` sections."""
 
-    def __init__(self, grid: GridSpec, text_embedder, embed_dim: int = 128, hidden_dim: int = 256, seed: int = 0):
+    def __init__(self, grid: GridSpec, cfg: PretrainConfig, seed: int = 0):
         self.grid = grid
-        self.text_embedder = text_embedder
-        self.embed_dim = int(embed_dim)
+        self.cfg = cfg
+        self.text_embedder = HashedNgramEmbedder()
         self.store = ParameterStore()
         rng = make_rng(seed, "calliper-init")
-        self.net = FCNet(grid.feature_dim, embed_dim, self.store, rng, hidden=hidden_dim, prefix="loc")
-        d_t = text_embedder.dim
-        self.store.add("proj.w", rng.standard_normal((d_t, embed_dim)) * (1.0 / np.sqrt(d_t)))
-        self.store.add("proj.b", np.zeros(embed_dim))
+        self.net = FCNet(grid.feature_dim, cfg.embed_dim, self.store, rng, hidden=cfg.hidden_dim, prefix="loc")
+        d_t = self.text_embedder.dim
+        self.store.add("proj.w", rng.standard_normal((d_t, cfg.embed_dim)) * (1.0 / np.sqrt(d_t)))
+        self.store.add("proj.b", np.zeros(cfg.embed_dim))
 
     # -- inference -----------------------------------------------------
 
@@ -194,7 +195,7 @@ class CaLLiPerModel:
 
     # -- training ------------------------------------------------------
 
-    def pretrain(self, pois: list[PoiRecord], cfg: PretrainConfig, seed: int = 0) -> dict:
+    def pretrain(self, pois: list[PoiRecord], seed: int = 0) -> dict:
         if not pois:
             raise ValueError("pretrain: empty POI corpus")
         if len(pois) < 2:
@@ -206,11 +207,11 @@ class CaLLiPerModel:
         rng = make_rng(seed, "calliper-pretrain")
         params = self.store.tensors()
         epoch_losses = []
-        for epoch in range(1, cfg.epochs + 1):
+        for epoch in range(1, self.cfg.epochs + 1):
             order = rng.permutation(len(pois))
             total, count = 0.0, 0
-            for n, start in enumerate(range(0, len(pois), cfg.batch_size), start=1):
-                batch = order[start : start + cfg.batch_size]
+            for n, start in enumerate(range(0, len(pois), self.cfg.batch_size), start=1):
+                batch = order[start : start + self.cfg.batch_size]
                 if len(batch) < 2:
                     continue  # a leftover singleton carries no contrastive signal
                 z_loc = self.net.forward(grid_features[batch])
@@ -226,26 +227,18 @@ class CaLLiPerModel:
 
     # -- persistence ---------------------------------------------------
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": "calliper",
-            "grid": asdict(self.grid),
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.net.hidden,
-            "text_dim": self.text_embedder.dim,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
+    def save(self, path, manifest_digest: str | None = None) -> None:
+        meta = {"kind": "calliper", "grid": asdict(self.grid), "pretrain": asdict(self.cfg)}
+        if manifest_digest is not None:
+            meta["manifest_digest"] = manifest_digest
         save_checkpoint(path, self.store.state_dict(), meta=meta)
 
     @classmethod
     def load(cls, path, manifest_digest: str | None = None) -> "CaLLiPerModel":
-        params, meta = load_checkpoint(path, kind="calliper", manifest_digest=manifest_digest)
+        params, meta = load_checkpoint(path, "calliper", manifest_digest=manifest_digest, reads=("grid", "pretrain"))
         model = cls(
             read_settings(GridSpec, meta["grid"], f"{path}: header", "grid."),
-            HashedNgramEmbedder(meta["text_dim"]),
-            embed_dim=meta["embed_dim"],
-            hidden_dim=meta["hidden_dim"],
+            read_settings(PretrainConfig, meta["pretrain"], f"{path}: header", "pretrain."),
         )
         model.store.load_state_dict(params)
         return model

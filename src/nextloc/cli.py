@@ -10,7 +10,6 @@ config and seeds reproduces its artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -29,7 +28,7 @@ from nextloc.baselines import (  # noqa: E402
     VanillaE2EEmbedder,
     skipgram_pretrain,
 )
-from nextloc.calliper import CaLLiPerModel, HashedNgramEmbedder, read_poi_file  # noqa: E402
+from nextloc.calliper import CaLLiPerModel, read_poi_file  # noqa: E402
 from nextloc.config import (  # noqa: E402
     EMBEDDER_KINDS,
     ExperimentConfig,
@@ -64,7 +63,7 @@ from nextloc.mobdata import (  # noqa: E402
 )
 from nextloc.numcore.checkpoint import CheckpointError, load_checkpoint, save_checkpoint  # noqa: E402
 from nextloc.predictor import NextLocPredictor  # noqa: E402
-from nextloc.util import make_rng, stable_json, write_atomic  # noqa: E402
+from nextloc.util import make_rng, parse_json, stable_json, write_atomic  # noqa: E402
 
 # ----------------------------------------------------------------------
 # run plan and artifact names
@@ -108,7 +107,7 @@ def _load_store(cfg) -> tuple[list, str, LocationIndex]:
     seq_file = _existing(artifact(cfg, "sequences"), "preprocess")
     idx_file = _existing(artifact(cfg, "locations"), "preprocess")
     sequences, seq_hash = read_sequences(seq_file)
-    index = LocationIndex.from_dict(json.loads(idx_file.read_text(encoding="utf-8")))
+    index = parse_json(idx_file, idx_file.read_text(encoding="utf-8"), LocationIndex.from_dict)
     return sequences, seq_hash, index
 
 
@@ -127,7 +126,7 @@ def _load_calliper(cfg, split: DatasetSplit) -> CaLLiPerModel:
 
 def _load_skipgram(cfg, index: LocationIndex, split: DatasetSplit) -> np.ndarray:
     path = _existing(artifact(cfg, "skipgram", split.seed, ".nlck"), "pretrain")
-    params, _ = load_checkpoint(path, "skipgram-table", index.content_hash(), split.digest)
+    params, _ = load_checkpoint(path, "skipgram-table", index.content_hash(), split.digest, reads=())
     return params["table"]
 
 
@@ -174,7 +173,6 @@ def cmd_preprocess(cfg: ExperimentConfig) -> int:
 
 def _pretrain_calliper(cfg: ExperimentConfig) -> None:
     pois = read_poi_file(cfg.pois_path)
-    text_embedder = HashedNgramEmbedder()
     # held-out locations must stay unseen during contrastive pretraining, so
     # each inductive split gets its own encoder without their POIs; the
     # conventional encoder sees every POI and reads no sequence store
@@ -186,18 +184,10 @@ def _pretrain_calliper(cfg: ExperimentConfig) -> None:
     for split_seed, split in splits.items():
         l_new = split.l_new if split else frozenset()
         corpus = [p for p in pois if p.id not in l_new]
-        model = CaLLiPerModel(
-            cfg.grid,
-            text_embedder,
-            embed_dim=cfg.pretrain.embed_dim,
-            hidden_dim=cfg.pretrain.hidden_dim,
-        )
-        history = model.pretrain(corpus, cfg.pretrain)
+        model = CaLLiPerModel(cfg.grid, cfg.pretrain)
+        history = model.pretrain(corpus)
         path = artifact(cfg, "calliper", split_seed, ".nlck")
-        meta = {"n_pois": len(corpus), "split_seed": split_seed}
-        if split:
-            meta["manifest_digest"] = split.digest
-        model.save(path, extra_meta=meta)
+        model.save(path, manifest_digest=split.digest if split else None)
         log = {"epoch_losses": history["epoch_losses"], "n_pois": len(corpus)}
         write_atomic(path.with_suffix(".log.json"), stable_json(log) + "\n")
         losses = history["epoch_losses"]
@@ -215,16 +205,8 @@ def _pretrain_skipgram(cfg: ExperimentConfig) -> None:
             epochs=cfg.skipgram_epochs,
         )
         path = artifact(cfg, "skipgram", split_seed, ".nlck")
-        save_checkpoint(
-            path,
-            {"table": table},
-            meta={
-                "kind": "skipgram-table",
-                "dim": cfg.pretrain.embed_dim,
-                "index_hash": index.content_hash(),
-                "manifest_digest": split.digest,
-            },
-        )
+        meta = {"kind": "skipgram-table", "index_hash": index.content_hash(), "manifest_digest": split.digest}
+        save_checkpoint(path, {"table": table}, meta=meta)
         log = {"epoch_losses": history["epoch_losses"], "n_pairs": history["n_pairs"]}
         write_atomic(path.with_suffix(".log.json"), stable_json(log) + "\n")
         print(f"{seeded('skipgram', split_seed)}: {history['n_pairs']} pairs, saved {path}")
@@ -284,14 +266,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
                 seed=seed,
             )
             path = artifact(cfg, f"predictor_{k}", seed, ".nlck")
-            model.save(
-                path,
-                extra_meta={
-                    "train_seed": seed,
-                    "manifest_digest": split.digest,
-                    "dataset": cfg.name,
-                },
-            )
+            model.save(path, manifest_digest=split.digest)
             log_lines = [stable_json(rec) for rec in history["log"]]
             write_atomic(path.with_suffix(".log.ndjson"), "\n".join(log_lines) + "\n")
             print(
@@ -404,10 +379,11 @@ def cmd_synth(args) -> int:
     print(f"checkins: {city.checkins_path} ({city.n_visits} visits, sha256 {hashes['checkins']})")
     print(f"pois: {city.pois_path} (sha256 {hashes['pois']})")
     if args.write_config:
+        # absolute paths, so the config works from any working directory
         cfg = synthetic_desk_config(
-            checkins_path=str(city.checkins_path),
-            pois_path=str(city.pois_path),
-            out_dir=str(Path(args.out) / "artifacts"),
+            checkins_path=str(city.checkins_path.absolute()),
+            pois_path=str(city.pois_path.absolute()),
+            out_dir=str(Path(args.out, "artifacts").absolute()),
             split_mode=args.split_mode,
         )
         save_config(cfg, args.write_config)

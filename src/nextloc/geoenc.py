@@ -97,8 +97,6 @@ class FCNet:
         prefix: str = "fcnet",
     ):
         self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
-        self.hidden = int(hidden)
         self.prefix = prefix
         self.store = store
         store.add(f"{prefix}.w1", rng.standard_normal((in_dim, hidden)) * he_std(in_dim))

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 from nextloc.mobdata.model import DatasetSplit, MobilitySequence, VisitRecord
-from nextloc.util import make_rng, sha256_text, stable_json, write_atomic
+from nextloc.util import make_rng, parse_json, sha256_text, stable_json, write_atomic
 
 WINDOW_SECONDS = 7 * 86400
 DAY_SECONDS = 86400
@@ -125,8 +124,8 @@ def write_sequences(path, sequences: list[MobilitySequence]) -> str:
 
 def read_sequences(path) -> tuple[list[MobilitySequence], str]:
     body = Path(path).read_text(encoding="utf-8")
-    data = json.loads(body)
-    return [MobilitySequence.from_dict(d) for d in data["sequences"]], sha256_text(body)
+    sequences = parse_json(path, body, lambda d: [MobilitySequence.from_dict(s) for s in d["sequences"]])
+    return sequences, sha256_text(body)
 
 
 def write_split_manifest(path, split: DatasetSplit, source_hash: str, extra: dict | None = None) -> dict:
@@ -148,7 +147,7 @@ def write_split_manifest(path, split: DatasetSplit, source_hash: str, extra: dic
 
 
 def read_split_manifest(path) -> dict:
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    manifest = parse_json(path, Path(path).read_text(encoding="utf-8"))
     body = {k: v for k, v in manifest.items() if k != "manifest_digest"}
     if sha256_text(stable_json(body)) != manifest.get("manifest_digest"):
         raise ValueError(f"{path}: manifest digest mismatch (file was modified)")

@@ -35,6 +35,17 @@ class CheckpointError(RuntimeError):
     """Raised when a checkpoint file is malformed, truncated or corrupted."""
 
 
+class StrictDict(dict):
+    """A checkpoint's header or parameters: reading a key it lacks names the file and the key."""
+
+    def __init__(self, source: str, items: dict):
+        super().__init__(items)
+        self.source = source
+
+    def __missing__(self, key):
+        raise CheckpointError(f"{self.source}: missing key {key!r}")
+
+
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
     entries = []
     blobs = []
@@ -49,10 +60,12 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = Non
 
 
 def load_checkpoint(
-    path, kind: str | None = None, index_hash: str | None = None, manifest_digest: str | None = None
-) -> tuple[dict[str, np.ndarray], dict]:
+    path, kind: str | None = None, index_hash: str | None = None, manifest_digest: str | None = None, reads=None
+) -> tuple[StrictDict, StrictDict]:
     """Parameters and meta of a checkpoint, refused unless its meta names `kind`, the
-    location index `index_hash` and the split `manifest_digest` (None: no check)."""
+    location index `index_hash` and the split `manifest_digest` (None: no check) and,
+    given the keys its loader `reads`, holds no key beyond these. A key read from either
+    that the file lacks is a `CheckpointError` naming the file and the key."""
     raw = Path(path).read_bytes()
     if len(raw) < PREFIX or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a parameter checkpoint (bad magic)")
@@ -66,7 +79,8 @@ def load_checkpoint(
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[PREFIX : PREFIX + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = StrictDict(f"{path}: header", header.get("meta", {}))
+    except (ValueError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from None
     params: dict[str, np.ndarray] = {}
     offset = PREFIX + hlen
@@ -81,11 +95,14 @@ def load_checkpoint(
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    meta = header.get("meta", {})
-    if kind is not None and meta.get("kind") != kind:
-        raise ValueError(f"{path}: not a {kind} checkpoint (kind={meta.get('kind')!r})")
-    if index_hash is not None and meta.get("index_hash") != index_hash:
+    if kind is not None and meta["kind"] != kind:
+        raise ValueError(f"{path}: not a {kind} checkpoint (kind={meta['kind']!r})")
+    if index_hash is not None and meta["index_hash"] != index_hash:
         raise ValueError(f"{path}: trained against a different location index")
-    if manifest_digest is not None and meta.get("manifest_digest") != manifest_digest:
+    if manifest_digest is not None and meta["manifest_digest"] != manifest_digest:
         raise ValueError(f"{path}: trained on a different split (manifest digest mismatch); rerun its stage")
-    return params, meta
+    if reads is not None:
+        unknown = sorted(set(meta) - {"kind", "manifest_digest", *reads} - ({"index_hash"} if index_hash else set()))
+        if unknown:
+            raise CheckpointError(f"{path}: header: " + ", ".join(f"unknown key {k!r}" for k in unknown))
+    return StrictDict(f"{path}: parameters", params), meta

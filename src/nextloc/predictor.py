@@ -287,7 +287,7 @@ class NextLocPredictor:
     # ------------------------------------------------------------------
     # persistence
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
+    def save(self, path, manifest_digest: str | None = None) -> None:
         params = self.store.state_dict()
         if self.embedder_frozen:
             params["frozen.loc_matrix"] = self.loc_matrix.data
@@ -298,14 +298,20 @@ class NextLocPredictor:
             "users": self.users,
             "index_hash": self.index.content_hash(),
         }
-        if extra_meta:
-            meta.update(extra_meta)
+        if manifest_digest is not None:
+            meta["manifest_digest"] = manifest_digest
         save_checkpoint(path, params, meta=meta)
 
     @classmethod
     def load(cls, path, index: LocationIndex, manifest_digest: str | None = None) -> "NextLocPredictor":
-        params, meta = load_checkpoint(path, "predictor", index.content_hash(), manifest_digest)
-        matrix = params["loc_table"] if meta["embedder_kind"] == "lookup-table" else params.pop("frozen.loc_matrix")
+        params, meta = load_checkpoint(
+            path, "predictor", index.content_hash(), manifest_digest, reads=("config", "embedder_kind", "users")
+        )
+        if meta["embedder_kind"] == "lookup-table":
+            matrix = params["loc_table"]
+        else:
+            matrix = params["frozen.loc_matrix"]
+            del params["frozen.loc_matrix"]
         cfg = read_settings(PredictorConfig, meta["config"], f"{path}: header", "config.")
         model = cls(index, meta["users"], matrix, meta["embedder_kind"], cfg)
         model.store.load_state_dict(params)

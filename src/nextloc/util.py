@@ -1,5 +1,5 @@
-"""Small shared helpers: seed derivation, canonical JSON, content hashes, atomic writes,
-and the one strict reader of settings objects.
+"""Small shared helpers: seed derivation, canonical JSON and its checked parsing, content
+hashes, atomic writes, and the one strict reader of settings objects.
 
 All randomness in the package flows from explicit integer seeds. Sub-seeds
 for independent purposes (init, shuffling, split sampling, ...) are derived
@@ -33,6 +33,14 @@ def make_rng(base: int, label: str) -> np.random.Generator:
 def stable_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, no whitespace jitter."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def parse_json(path, text: str, build=dict):
+    """`build` of the JSON in `text`, read from `path`; any fault in either is a ValueError naming the file."""
+    try:
+        return build(json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
 def sha256_text(text: str) -> str:

@@ -11,7 +11,7 @@ from nextloc.baselines import (
     skipgram_pretrain,
     visit_streams,
 )
-from nextloc.calliper import CaLLiPerModel, HashedNgramEmbedder
+from nextloc.calliper import CaLLiPerModel, PretrainConfig
 from nextloc.geoenc import GeoPoint, GridSpec
 from nextloc.mobdata import MobilitySequence
 from nextloc.mobdata.model import Location, LocationIndex
@@ -131,7 +131,7 @@ def test_skipgram_embedder_row_count_checked():
 
 
 def test_calliper_embedder_resolves_all_locations():
-    model = CaLLiPerModel(GridSpec(0.01, 10.0, 8), HashedNgramEmbedder(64), embed_dim=16, hidden_dim=32, seed=0)
+    model = CaLLiPerModel(GridSpec(0.01, 10.0, 8), PretrainConfig(embed_dim=16, hidden_dim=32), seed=0)
     emb = CalliperEmbedder(model)
     index = make_index(6)
     matrix = emb.embedding_matrix(index)

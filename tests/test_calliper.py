@@ -165,14 +165,14 @@ def corner_corpus():
 
 
 def test_encode_location_handles_unseen_coordinates():
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=16, hidden_dim=32, seed=0)
+    model = CaLLiPerModel(GRID, PretrainConfig(embed_dim=16, hidden_dim=32), seed=0)
     out = model.encode_location(GeoPoint(123.456, -77.0))
     assert out.shape == (16,)
     assert np.all(np.isfinite(out))
 
 
 def test_encode_location_deterministic_and_default_width():
-    model = CaLLiPerModel(GridSpec(0.01, 10.0, 32), HashedNgramEmbedder(64), seed=0)
+    model = CaLLiPerModel(GridSpec(0.01, 10.0, 32), PretrainConfig(), seed=0)
     a = model.encode_location(GeoPoint(1.0, 2.0))
     b = model.encode_location(GeoPoint(1.0, 2.0))
     np.testing.assert_array_equal(a, b)
@@ -180,37 +180,36 @@ def test_encode_location_deterministic_and_default_width():
 
 
 def test_embed_text_projection_width_and_determinism():
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=128, hidden_dim=32, seed=0)
+    model = CaLLiPerModel(GRID, PretrainConfig(embed_dim=128, hidden_dim=32), seed=0)
     v = model.embed_text("Coffee Shop")
     assert v.shape == (128,)
     np.testing.assert_array_equal(v, model.embed_text("Coffee Shop"))
 
 
 def test_pretrain_rejects_empty_and_singleton():
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=0)
-    cfg = PretrainConfig(batch_size=2, epochs=1)
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=2, epochs=1, embed_dim=8, hidden_dim=16), seed=0)
     with pytest.raises(ValueError):
-        model.pretrain([], cfg)
+        model.pretrain([])
     with pytest.raises(ValueError):
-        model.pretrain(corner_corpus()[:1], cfg)
+        model.pretrain(corner_corpus()[:1])
 
 
 def test_pretrain_corner_corpus_beats_uninformative_level():
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(128), embed_dim=16, hidden_dim=32, seed=5)
-    cfg = PretrainConfig(batch_size=4, epochs=200)
-    history = model.pretrain(corner_corpus(), cfg, seed=5)
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=4, epochs=200, embed_dim=16, hidden_dim=32), seed=5)
+    history = model.pretrain(corner_corpus(), seed=5)
     losses = history["epoch_losses"]
     assert losses[-1] < losses[0]
     assert losses[-1] < math.log(4)
 
 
 def test_pretrain_leaves_text_vectorizer_untouched():
-    emb = HashedNgramEmbedder(64)
-    before = emb.embed_batch([p.description for p in corner_corpus()]).tobytes()
-    model = CaLLiPerModel(GRID, emb, embed_dim=8, hidden_dim=16, seed=1)
-    model.pretrain(corner_corpus(), PretrainConfig(batch_size=4, epochs=3), seed=1)
-    after = emb.embed_batch([p.description for p in corner_corpus()]).tobytes()
-    assert before == after
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=4, epochs=3, embed_dim=8, hidden_dim=16), seed=1)
+    assert model.text_embedder.dim == 512
+    texts = [p.description for p in corner_corpus()]
+    before = model.text_embedder.embed_batch(texts).tobytes()
+    model.pretrain(corner_corpus(), seed=1)
+    assert model.text_embedder.embed_batch(texts).tobytes() == before
+    assert before == HashedNgramEmbedder(512).embed_batch(texts).tobytes()
 
 
 def test_pretrain_encodes_each_poi_once(monkeypatch):
@@ -230,36 +229,37 @@ def test_pretrain_encodes_each_poi_once(monkeypatch):
     monkeypatch.setattr(HashedNgramEmbedder, "embed", counting_embed)
     monkeypatch.setattr(nextloc.calliper, "grid_pe_batch", counting_grid_pe_batch)
     pois = corner_corpus() + [PoiRecord("p4", GeoPoint(0.0, 0.0), "city park")]
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=1)
-    model.pretrain(pois, PretrainConfig(batch_size=2, epochs=6), seed=1)
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=2, epochs=6, embed_dim=8, hidden_dim=16), seed=1)
+    model.pretrain(pois, seed=1)
     assert sorted(embedded) == sorted(p.description for p in pois)
     assert encoded == [len(pois)]
 
 
 def test_pretrain_stops_on_a_non_finite_loss():
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=1)
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=2, epochs=2, embed_dim=8, hidden_dim=16), seed=1)
     model.store["proj.b"].data[0] = np.nan
     with pytest.raises(ValueError, match=r"^pretrain: calliper seed 6: non-finite loss in epoch 1, batch 1$"):
-        model.pretrain(corner_corpus(), PretrainConfig(batch_size=2, epochs=2), seed=6)
+        model.pretrain(corner_corpus(), seed=6)
 
 
 def test_pretrain_is_deterministic():
     def run():
-        model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=2)
-        model.pretrain(corner_corpus(), PretrainConfig(batch_size=2, epochs=4), seed=2)
+        model = CaLLiPerModel(GRID, PretrainConfig(batch_size=2, epochs=4, embed_dim=8, hidden_dim=16), seed=2)
+        model.pretrain(corner_corpus(), seed=2)
         return model.encode_location(GeoPoint(0.3, 0.7))
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_checkpoint_reload_reproduces_outputs(tmp_path):
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(64), embed_dim=8, hidden_dim=16, seed=3)
-    model.pretrain(corner_corpus(), PretrainConfig(batch_size=4, epochs=2), seed=3)
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=4, epochs=2, embed_dim=8, hidden_dim=16), seed=3)
+    model.pretrain(corner_corpus(), seed=3)
     probe = np.array([[0.1, 0.2], [5.0, -5.0], [100.0, 3.0]])
     before = model.encode_location(probe)
     path = tmp_path / "calliper.ckpt"
     model.save(path)
     restored = CaLLiPerModel.load(path)
+    assert (restored.grid, restored.cfg) == (model.grid, model.cfg)
     np.testing.assert_array_equal(restored.encode_location(probe), before)
     np.testing.assert_array_equal(
         restored.embed_text("italian restaurant"), model.embed_text("italian restaurant")
@@ -295,8 +295,8 @@ def test_pretraining_clusters_categories_by_region():
                 "botanic garden",
             )
         )
-    model = CaLLiPerModel(GRID, HashedNgramEmbedder(128), embed_dim=16, hidden_dim=32, seed=11)
-    model.pretrain(pois, PretrainConfig(batch_size=8, epochs=60), seed=11)
+    model = CaLLiPerModel(GRID, PretrainConfig(batch_size=8, epochs=60, embed_dim=16, hidden_dim=32), seed=11)
+    model.pretrain(pois, seed=11)
     vecs = model.encode_location(np.array([[p.point.x, p.point.y] for p in pois]))
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     sims = unit @ unit.T

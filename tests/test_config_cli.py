@@ -395,36 +395,85 @@ def test_flipped_header_bit_gives_an_error_line(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "stem, section, key, value",
+    "stem, key, value",
     [
-        ("predictor_lookup-table_seed0", "config", "hour_buckets", 24),  # as a predictor of an older version has it
-        ("predictor_lookup-table_seed0", "config", "dropout", None),
-        ("calliper_seed0", "grid", "scale", 1.0),
-        ("calliper_seed0", "grid", "n_scales", None),
+        ("predictor_lookup-table_seed0", "config.hour_buckets", 24),  # as a predictor of an older version has it
+        ("predictor_lookup-table_seed0", "config.dropout", None),
+        ("predictor_lookup-table_seed0", "users", None),
+        ("predictor_lookup-table_seed0", "dataset", "synthetic-desk"),  # as a predictor of an older version has it
+        ("skipgram_seed0", "dim", 64),  # as a skip-gram table of an older version has it
+        ("skipgram_seed0", "index_hash", None),
+        ("calliper_seed0", "grid.scale", 1.0),
+        ("calliper_seed0", "grid.n_scales", None),
+        ("calliper_seed0", "pretrain.temperature", 0.07),
+        ("calliper_seed0", "pretrain.epochs", None),
+        ("calliper_seed0", "text_dim", 512),  # as a calliper encoder of an older version has it
     ],
-    ids=["predictor-unknown", "predictor-missing", "calliper-unknown", "calliper-missing"],
+    ids=[
+        "predictor-unknown",
+        "predictor-missing",
+        "predictor-users-missing",
+        "predictor-older-version",
+        "skipgram-older-version",
+        "skipgram-missing",
+        "calliper-unknown",
+        "calliper-missing",
+        "calliper-pretrain-unknown",
+        "calliper-pretrain-missing",
+        "calliper-older-version",
+    ],
 )
-def test_checkpoint_header_with_an_unknown_or_missing_setting_is_refused(
-    pipeline, tmp_path, capsys, stem, section, key, value
-):
+def test_checkpoint_header_with_an_unknown_or_missing_setting_is_refused(pipeline, tmp_path, capsys, stem, key, value):
     """A checkpoint header is read as strictly as a config file: no key is ignored or filled in."""
     work = tmp_path / "header"
     shutil.copytree(pipeline.out, work)
     path = work / f"{stem}.nlck"
     params, meta = load_checkpoint(path)
+    *section, name = key.split(".")
+    target = meta[section[0]] if section else meta
     if value is None:
-        del meta[section][key]
+        del target[name]
     else:
-        meta[section][key] = value
+        target[name] = value
     save_checkpoint(path, params, meta=meta)  # a well-formed file with a fresh digest
-    # evaluate loads the predictor; train is the stage that loads the calliper encoder
-    argv = ["evaluate", "--kind", "lookup-table"] if section == "config" else ["train", "--kind", "calliper-encoder"]
+    # evaluate loads the predictor; train is the stage that loads the pretrained embeddings
+    argv = {
+        "predictor": ["evaluate", "--kind", "lookup-table"],
+        "calliper": ["train", "--kind", "calliper-encoder"],
+        "skipgram": ["train", "--kind", "skipgram-table"],
+    }[stem.split("_")[0]]
     capsys.readouterr()
     assert main([*argv, "--config", str(pipeline.cfg_path), "--out", str(work), "--seed-override", "0"]) == 1
     err = capsys.readouterr().err
     problem = "missing" if value is None else "unknown"
-    assert err.startswith("error:") and f"{problem} key '{section}.{key}'" in err and str(path) in err
+    assert err.startswith("error:") and f"{problem} key '{key}'" in err and str(path) in err
     assert "Traceback" not in err
+
+
+def test_checkpoint_headers_hold_only_what_load_reads(pipeline):
+    predictor = {"kind", "config", "embedder_kind", "users", "index_hash", "manifest_digest"}
+    expected = {
+        "calliper_seed0": {"kind", "grid", "pretrain", "manifest_digest"},
+        "skipgram_seed0": {"kind", "index_hash", "manifest_digest"},
+        **{f"predictor_{k}_seed0": predictor for k in ("calliper-encoder", "lookup-table", "skipgram-table")},
+    }
+    for stem, keys in expected.items():
+        _, meta = load_checkpoint(pipeline.out / f"{stem}.nlck")
+        assert set(meta) == keys, stem
+
+
+@pytest.mark.parametrize("content", ["wrong-shape", "truncated"])
+@pytest.mark.parametrize("name", ["manifest_inductive_seed0.json", "locations.json", "sequences.json"])
+def test_malformed_json_artifact_gives_an_error_line_naming_it(pipeline, tmp_path, capsys, name, content):
+    work = tmp_path / "malformed"
+    shutil.copytree(pipeline.out, work)
+    path = work / name
+    text = path.read_text()
+    path.write_text("[]" if content == "wrong-shape" else text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(pipeline.cfg_path), "--out", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_non_finite_training_loss_gives_an_error_line(pipeline, tmp_path, capsys, monkeypatch):
@@ -506,7 +555,22 @@ def test_conventional_calliper_pretrain_needs_no_sequences(tmp_path):
     cfg_path.write_text(json.dumps(d))
     # no preprocess stage: the contrastive pretraining reads only the POI file
     assert main(["pretrain", "--config", str(cfg_path), "--kind", "calliper-encoder"]) == 0
-    assert (Path(d["out_dir"]) / "calliper.nlck").is_file()
+    _, meta = load_checkpoint(Path(d["out_dir"]) / "calliper.nlck")
+    assert set(meta) == {"kind", "grid", "pretrain"}  # it saw every POI, so it names no split
+
+
+def test_written_config_works_from_any_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "synth", "--out", "city", "--users", "8", "--locations", "10", "--days", "20", "--write-config", "cfg.json",
+    ]) == 0
+    d = json.loads((tmp_path / "cfg.json").read_text())
+    assert all(Path(d[key]).is_absolute() for key in ("checkins_path", "pois_path", "out_dir"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["preprocess", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert (tmp_path / "city" / "artifacts" / "sequences.json").is_file()
 
 
 def test_conventional_pipeline_shares_one_split(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Tensor ops, backward pass, Adam, checkpoints, and the gradient checker."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -757,6 +759,22 @@ def test_checkpoint_load_checks_kind_index_and_split(tmp_path):
     assert meta["kind"] == "predictor"
     params, _ = load_checkpoint(path, kind="predictor", index_hash="i1", manifest_digest="m1")
     np.testing.assert_array_equal(params["w"], np.ones(2))
+
+
+def test_checkpoint_key_a_loader_lacks_or_does_not_read_names_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)}, meta={"kind": "predictor", "extra": 1})
+    params, meta = load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: missing key 'users'$"):
+        meta["users"]
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: parameters: missing key 'table'$"):
+        params["table"]
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: missing key 'index_hash'$"):
+        load_checkpoint(path, "predictor", index_hash="i1")
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: unknown key 'extra'$"):
+        load_checkpoint(path, "predictor", reads=())
+    _, meta = load_checkpoint(path, "predictor", reads=("extra",))
+    assert meta == {"kind": "predictor", "extra": 1}
 
 
 # ---------------------------------------------------------------------------
